@@ -18,7 +18,7 @@ from .problem import Problem, load_problem, parse_problem
 from .tuples import (MatTuple, common_fixed_space, dual_tuple, e_space,
                      h_space, validate_tuple, w_space)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BraidWord", "CycloField", "Matrix", "MatTuple", "MonodromyRep",

@@ -7,7 +7,6 @@ comparisons.  n = 1 gives plain Q.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import FieldMismatch, NoEmbedding, NotReal, LiteralSyntaxError
 
@@ -159,10 +158,6 @@ class CycloField:
         """The root of unity zeta_n^k."""
         return CycloElem(self, self._power(k))
 
-    def rand(self, rng, span=6):
-        """Random element with small integer coefficients, for tests."""
-        return self.element([rng.randint(-span, span) for _ in range(self.degree)])
-
 
 class CycloElem:
     """An element of Q(zeta_n) in reduced power-basis form."""
@@ -258,13 +253,6 @@ class CycloElem:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_rational(self):
-        return not any(self.coeffs[1:])
-
-    def rational_value(self):
-        assert self.is_rational()
-        return self.coeffs[0]
-
     def inverse(self):
         """1/self via extended Euclid against the (irreducible) modulus."""
         if not self:
@@ -347,14 +335,6 @@ class CycloElem:
 
 def sign_of_real(x):
     return x.sign()
-
-
-def conjugate(x):
-    return x.conjugate()
-
-
-def coerce(x, target):
-    return x.coerce(target)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclo import CycloField
-from .errors import (FieldLacksI, FormNotInvariant, NonzeroH0, NotHermitian,
-                     NotParabolic, NotRootOfUnity, TupleMismatch)
-from .linalg import (Matrix, dot, kernel_left, rref, vec_add, vec_conj,
-                     vec_is_zero, vec_mat, vec_scale, vec_sub)
-from .tuples import MatTuple, common_fixed_space, dual_tuple, w_space
+from .errors import (FormNotInvariant, NonzeroH0, NotHermitian, NotParabolic,
+                     NotRootOfUnity, TupleMismatch)
+from .linalg import (Matrix, dot, kernel_left, vec_add, vec_conj, vec_mat,
+                     vec_sub)
+from .tuples import common_fixed_space, dual_tuple, w_space
 
 
 def lift_parabolic(g_i, v_i):
@@ -149,11 +149,8 @@ def gram_on_W(g, form):
     if hermitian:
         m = lcm(g.field.n, 4)
         big = CycloField(m)
-        try:
-            g = g.coerce(big)
-            J = form.J.coerce(big)
-        except Exception as e:
-            raise FieldLacksI(str(e))
+        g = g.coerce(big)
+        J = form.J.coerce(big)
         i_elem = big.zeta(m // 4)
     else:
         J = form.J

@@ -93,10 +93,6 @@ class FormNotInvariant(ParcohError):
     pass
 
 
-class FieldLacksI(ParcohError):
-    pass
-
-
 class NotHermitian(ParcohError):
     pass
 

@@ -3,7 +3,9 @@
 Row-vector convention throughout: vectors are tuples of CycloElem and
 multiply matrices from the left, v -> v*M.  Pivoting is deterministic
 (first nonzero entry, scanning left to right) so echelon bases and
-quotient charts are reproducible.
+quotient charts are reproducible.  All elimination goes through two
+loops: _rref_rows (Gauss-Jordan, optionally tracking the transform) and
+_reduce (a vector against echelon rows).
 """
 
 from .errors import NotASubspace, NotInvertible
@@ -195,33 +197,16 @@ class Matrix:
         """Gauss-Jordan inverse; raises NotInvertible on a singular matrix."""
         assert self.rows == self.cols
         n = self.rows
-        aug = [list(self.row(i)) + list(Matrix.identity(self.field, n).row(i))
-               for i in range(n)]
-        piv = 0
-        for col in range(n):
-            hit = None
-            for i in range(piv, n):
-                if aug[i][col]:
-                    hit = i
-                    break
-            if hit is None:
-                raise NotInvertible("matrix is singular")
-            aug[piv], aug[hit] = aug[hit], aug[piv]
-            inv = aug[piv][col].inverse()
-            aug[piv] = [x * inv for x in aug[piv]]
-            for i in range(n):
-                if i != piv and aug[i][col]:
-                    c = aug[i][col]
-                    aug[i] = [x - c * y for x, y in zip(aug[i], aug[piv])]
-            piv += 1
-        return Matrix.from_rows(self.field, [tuple(r[n:]) for r in aug])
+        rows = [list(r) for r in self.row_list()]
+        track = [list(r) for r in Matrix.identity(self.field, n).row_list()]
+        if len(_rref_rows(rows, track)) < n:
+            raise NotInvertible("matrix is singular")
+        return Matrix.from_rows(self.field, track)
 
     def is_invertible(self):
-        try:
-            self.inverse()
-            return True
-        except NotInvertible:
-            return False
+        return (self.rows == self.cols
+                and len(_rref_rows([list(r) for r in self.row_list()]))
+                == self.rows)
 
     def __repr__(self):
         return "Matrix(%d x %d over Q(zeta_%d))" % (
@@ -286,12 +271,21 @@ def _rref_rows(rows, track=None):
     return pivots
 
 
-def rref(m):
-    """Reduced row echelon form of a Matrix; returns (Matrix, rank)."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = _rref_rows(rows)
-    return Matrix.from_rows(m.field, [tuple(r) for r in rows]) if m.rows else m, \
-        len(pivots)
+def _reduce(basis, v):
+    """Remainder of v after eliminating against basis, in order.
+
+    Each basis row has a leading 1 at its pivot (its first nonzero
+    entry) and is zero at the pivots of the rows before it; the
+    remainder is zero exactly when v lies in the span of basis.
+    """
+    v = list(v)
+    for row in basis:
+        pj = next(j for j, x in enumerate(row) if x)
+        c = v[pj]
+        if c:
+            for j in range(pj, len(v)):
+                v[j] = v[j] - c * row[j]
+    return tuple(v)
 
 
 def solve_row(a, b):
@@ -345,59 +339,19 @@ class Subspace:
             rows = rows[:len(pivots)]
         return cls(field, ambient_dim, tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def full(cls, field, n):
-        return cls.from_rows(field, n,
-                             Matrix.identity(field, n).row_list())
-
-    @classmethod
-    def zero_space(cls, field, n):
-        return cls(field, n, ())
-
     @property
     def dim(self):
         return len(self.basis)
 
-    def pivot_columns(self):
-        cols = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x:
-                    cols.append(j)
-                    break
-        return cols
-
     def reduce(self, v):
         """Remainder of v after eliminating against the basis."""
-        v = list(v)
-        for row in self.basis:
-            pj = next(j for j, x in enumerate(row) if x)
-            c = v[pj]
-            if c:
-                for j in range(pj, len(v)):
-                    v[j] = v[j] - c * row[j]
-        return tuple(v)
+        return _reduce(self.basis, v)
 
     def contains(self, v):
         return vec_is_zero(self.reduce(v))
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.basis)
-
-    def coordinates_of(self, v):
-        """Coefficients of v in the RREF basis, or None if v is outside."""
-        coords = []
-        v = list(v)
-        for row in self.basis:
-            pj = next(j for j, x in enumerate(row) if x)
-            c = v[pj]
-            coords.append(c)
-            if c:
-                for j in range(pj, len(v)):
-                    v[j] = v[j] - c * row[j]
-        if any(v):
-            return None
-        return tuple(coords)
 
     def coerce(self, field):
         if field == self.field:
@@ -432,51 +386,49 @@ class QuotientChart:
     def dim(self):
         return len(self.reps)
 
-    def _stacked(self):
-        if self._solver is None:
-            rows = list(self.reps) + list(self.sub.basis)
-            self._solver = Matrix.from_rows(
-                self.ambient.field, rows) if rows else None
-        return self._solver
-
     def coords(self, v):
         """Coordinates of v in the representatives, modulo sub.
 
-        v must lie in the ambient space.
+        v must lie in the ambient space.  The rows reps + sub are
+        independent, so with their RREF rows R_i (pivot p_i) and the
+        transform rows T_i (R_i = T_i * stacked), the coefficients of v
+        are the unique sum over i of v[p_i] * T_i; only the first
+        len(reps) columns of T are kept.
         """
         if not self.ambient.contains(v):
             raise NotASubspace("vector is not in the ambient space")
-        if not self.reps:
-            return ()
-        x = solve_row(self._stacked(), v)
-        assert x is not None
-        return x[:len(self.reps)]
-
-    def lift(self, coords):
-        """The representative vector with the given chart coordinates."""
-        assert len(coords) == len(self.reps)
-        out = [self.ambient.field.zero()] * self.ambient.ambient_dim
-        out = tuple(out)
-        for c, r in zip(coords, self.reps):
-            out = vec_add(out, vec_scale(r, c))
-        return out
+        field, k = self.ambient.field, len(self.reps)
+        if self._solver is None:
+            rows = [list(r) for r in self.reps + self.sub.basis]
+            zero, one = field.zero(), field.one()
+            track = [[one if i == j else zero for j in range(k)]
+                     for i in range(len(rows))]
+            self._solver = tuple(zip(_rref_rows(rows, track), track))
+        out = [field.zero()] * k
+        for p, t in self._solver:
+            c = v[p]
+            if c:
+                out = [a + c * b for a, b in zip(out, t)]
+        return tuple(out)
 
 
 def quotient_chart(ambient, sub):
     """Deterministic chart for ambient/sub.
 
     Representatives are the first ambient basis vectors that stay
-    independent modulo sub, in basis order.
+    independent modulo sub, in basis order: each basis row is reduced
+    against sub and the normalised remainders of the rows kept so far.
     """
     if not ambient.contains_subspace(sub):
         raise NotASubspace("sub is not contained in ambient")
     reps = []
-    span = list(sub.basis)
-    have = Subspace.from_rows(ambient.field, ambient.ambient_dim, span)
+    kept = list(sub.basis)
     for row in ambient.basis:
-        if not have.contains(row):
+        rest = _reduce(kept, row)
+        if any(rest):
             reps.append(row)
-            span.append(row)
-            have = Subspace.from_rows(ambient.field, ambient.ambient_dim, span)
-    assert len(reps) == ambient.dim - sub.dim
+            inv = next(x for x in rest if x).inverse()
+            kept.append(tuple(x * inv for x in rest))
+    if len(reps) != ambient.dim - sub.dim:
+        raise NotASubspace("ambient basis is not independent modulo sub")
     return QuotientChart(ambient, sub, tuple(reps))

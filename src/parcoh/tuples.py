@@ -7,8 +7,7 @@ vectors live in V^r, flattened to length r*d with block order
 """
 
 from .errors import NotInvertible, ProductNotOne, TooFewPoints, TupleError
-from .linalg import (Matrix, Subspace, kernel_left, quotient_chart, rref,
-                     vec_mat)
+from .linalg import Matrix, Subspace, kernel_left, quotient_chart, vec_mat
 
 
 class MatTuple:
@@ -86,9 +85,8 @@ def _block_image_basis(g):
     zero = g.field.zero()
     rows = []
     for i, m in enumerate(g.mats):
-        img, rank = rref(m - ident)
-        for k in range(rank):
-            block = img.row(k)
+        img = Subspace.from_rows(g.field, d, (m - ident).row_list())
+        for block in img.basis:
             row = [zero] * (r * d)
             row[i * d:(i + 1) * d] = block
             rows.append(tuple(row))

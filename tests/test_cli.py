@@ -1,6 +1,7 @@
 """The command line interface: outputs, JSON shapes, and exit codes."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -206,3 +207,18 @@ def test_conjugate_literal_must_parse(capsys):
     code, _, err = _run(
         ["monodromy", PICARD, "--conjugate", '[["z"]]'], capsys)
     assert code == 2  # wrong shape for a 3-dimensional W
+
+
+@pytest.mark.parametrize("r", [4, 5, 6, 7])
+def test_artin_relations_cover_every_generator_pair(r):
+    rels = cli.artin_relations(r)
+    assert len(rels) == (r - 3) + (r - 3) * (r - 4) // 2
+    got = {(tuple(i for i, _ in a.letters), tuple(i for i, _ in b.letters))
+           for a, b in rels}
+    assert len(got) == len(rels)
+    gens = range(1, r - 1)
+    want = {((i, i + 1, i), (i + 1, i, i + 1)) for i in gens if i + 1 in gens}
+    want |= {((i, j), (j, i)) for i, j in combinations(gens, 2) if j - i >= 2}
+    assert got == want
+    assert all(w.strands == r - 1 and all(e == 1 for _, e in w.letters)
+               for pair in rels for w in pair)

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_element, rand_invertible
 from parcoh.cyclo import CycloField
-from parcoh.errors import NotInvertible
+from parcoh.errors import NotASubspace, NotInvertible
 from parcoh.linalg import (Matrix, Subspace, dot, kernel_left, quotient_chart,
                            solve_row, vec_add, vec_is_zero, vec_mat, vec_scale)
 
@@ -147,3 +149,135 @@ def test_dot_is_the_coordinate_pairing():
     u = (F.one(), F.zeta())
     v = (F.zeta(), F.one())
     assert dot(u, v) == F.zeta() + F.zeta()
+
+
+# ---------------------------------------------------------------------------
+# properties of the one elimination kernel, over Q(zeta_3) and Q(zeta_5)
+
+FIELDS = (CycloField(3), CycloField(5))
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def _elements(draw, field):
+    # zero is drawn often, so dependent rows and singular matrices occur
+    if draw(st.booleans()):
+        return field.zero()
+    return field.element([draw(st.integers(-2, 2))
+                          for _ in range(field.degree)])
+
+
+@st.composite
+def _rows(draw, field, count, length):
+    return [tuple(draw(_elements(field)) for _ in range(length))
+            for _ in range(count)]
+
+
+@st.composite
+def _square(draw):
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 4))
+    return Matrix.from_rows(F, draw(_rows(F, n, n)))
+
+
+@st.composite
+def _ambient_and_sub(draw):
+    """A subspace of Q(zeta)^n and a subspace of it, from combinations."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    ambient = Subspace.from_rows(F, n, draw(_rows(F, draw(st.integers(0, n)),
+                                                  n)))
+    combos = draw(_rows(F, draw(st.integers(0, ambient.dim + 1)),
+                        ambient.dim))
+    sub = Subspace.from_rows(F, n, [combo_of(ambient, c, F) for c in combos])
+    return ambient, sub
+
+
+@PROPERTY
+@given(_square())
+def test_inverse_is_two_sided_or_raises(m):
+    ident = Matrix.identity(m.field, m.rows)
+    if m.is_invertible():
+        inv = m.inverse()
+        assert m * inv == ident
+        assert inv * m == ident
+    else:
+        with pytest.raises(NotInvertible):
+            m.inverse()
+
+
+@PROPERTY
+@given(_square(), st.data())
+def test_dependent_row_makes_a_matrix_singular(m, data):
+    if not m.rows:
+        return
+    rows = m.row_list()
+    c = data.draw(_elements(m.field))
+    rows[-1] = vec_scale(rows[0], c) if m.rows > 1 else (m.field.zero(),)
+    singular = Matrix.from_rows(m.field, rows)
+    assert singular.is_invertible() is False
+    with pytest.raises(NotInvertible):
+        singular.inverse()
+
+
+def test_inverse_of_empty_and_one_by_one_matrices():
+    F = CycloField(5)
+    empty = Matrix(F, 0, 0, [])
+    assert empty.is_invertible()
+    assert empty.inverse() == empty
+    a = F.element([1, 2, 0, -1])
+    one = Matrix.from_rows(F, [[a]])
+    assert one.inverse() == Matrix.from_rows(F, [[a.inverse()]])
+    zero = Matrix.from_rows(F, [[F.zero()]])
+    assert zero.is_invertible() is False
+    with pytest.raises(NotInvertible):
+        zero.inverse()
+
+
+@PROPERTY
+@given(_ambient_and_sub(), st.data())
+def test_chart_coords_match_solving_the_stacked_system(spaces, data):
+    ambient, sub = spaces
+    chart = quotient_chart(ambient, sub)
+    k = len(chart.reps)
+    stacked = list(chart.reps) + list(sub.basis)
+    for coeffs in data.draw(_rows(ambient.field, 3, ambient.dim)):
+        v = combo_of(ambient, coeffs, ambient.field)
+        want = solve_row(Matrix.from_rows(ambient.field, stacked), v)[:k] \
+            if stacked else ()
+        assert chart.coords(v) == want
+
+
+@PROPERTY
+@given(_ambient_and_sub())
+def test_chart_reps_are_where_the_span_grows(spaces):
+    ambient, sub = spaces
+    F, n = ambient.field, ambient.ambient_dim
+    kept, want = list(sub.basis), []
+    for row in ambient.basis:
+        grown = Subspace.from_rows(F, n, kept + [row]).dim
+        if grown > Subspace.from_rows(F, n, kept).dim:
+            kept.append(row)
+            want.append(row)
+    chart = quotient_chart(ambient, sub)
+    assert chart.reps == tuple(want)
+    assert chart.dim == ambient.dim - sub.dim
+
+
+def test_chart_edge_cases():
+    F = CycloField(3)
+    z, o = F.zero(), F.one()
+    ambient = Subspace.from_rows(F, 3, [(o, F.zeta(), z), (z, o, o)])
+    zero_sub = Subspace(F, 3, ())
+    chart = quotient_chart(ambient, zero_sub)
+    assert chart.reps == ambient.basis
+    assert chart.coords(ambient.basis[1]) == (z, o)
+    full = quotient_chart(ambient, ambient)
+    assert full.dim == 0
+    assert full.coords(ambient.basis[0]) == ()
+    outside = (z, z, o)
+    for c in (chart, full):
+        with pytest.raises(NotASubspace):
+            c.coords(outside)
+    with pytest.raises(NotASubspace):
+        quotient_chart(zero_sub, ambient)
