@@ -251,7 +251,7 @@ def _verify_checks(problem):
         for name, ok, bad in check_compatibility(spec):
             yield ("compatibility %s" % name, ok, 3)
 
-    H = h_space(g)
+    H = ws.H
 
     def maps_equal(a, b):
         return all(vec_mat(v, a.matrix) == vec_mat(v, b.matrix)

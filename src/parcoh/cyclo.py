@@ -248,7 +248,11 @@ class CycloElem:
         return self.field == x.field and self.coeffs == x.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # a rational element equals that int or Fraction, so hashes like it
+        c = self.coeffs
+        if not any(c[1:]):
+            return hash(c[0])
+        return hash((self.field, c))
 
     def __bool__(self):
         return any(self.coeffs)

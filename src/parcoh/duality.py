@@ -8,13 +8,23 @@ parabolic cocycle psi for g is
 
 where v'_i solves v'_i (g_i - 1) = v_i (any solution works; the value is
 independent of the lift and of representatives mod E).  <,> is the
-standard coordinate pairing.
+standard coordinate pairing.  The value splits as <chain_row(g*, phi),
+lift_row(g, psi)>: chain_row depends on phi only (block i is
+v*_i + T_i (g*_i - 1), T_i the inner sum over j < i) and lift_row on psi
+only (the lifts v'_1, ..., v'_r concatenated).
 
 Hermitian form on W_g: (phi, psi) = -i * (kappa(conj(phi)) cup psi),
 computed after coercing to Q(zeta_m) with m = lcm(n, 4) so that
 i = zeta_m^(m/4) exists.  kappa sends a block v to conj(v)*J^T, the
 coordinate form of the map V-bar -> V* induced by the Hermitian form
 x, y -> x*J*conj(y)^T on V.
+
+On the chart representatives rep_1, ..., rep_w of W_g the Gram matrix
+is therefore one product, G = -i * A * L^T: row k of A is
+chain_row(g*, kappa(rep_k)) and row l of L is lift_row(g, rep_l),
+so the cost is w rows of r lifts each, not w^2 pairings.  g* and H_(g*)
+are built once per Gram, and every kappa image is checked against
+H_(g*).  A bilinear form gives G = A * L^T with kappa(v) = v*J^T.
 
 The form is conjugate-linear in the first argument and linear in the
 second, so on W coordinates (rows) the value is conj(x)*G*y^T and a
@@ -30,14 +40,13 @@ from math import lcm
 from .cyclo import CycloField
 from .errors import (FormNotInvariant, NonzeroH0, NotHermitian, NotParabolic,
                      NotRootOfUnity, TupleMismatch)
-from .linalg import (Matrix, dot, kernel_left, vec_add, vec_conj, vec_mat,
-                     vec_sub)
-from .tuples import common_fixed_space, dual_tuple, w_space
+from .linalg import (Matrix, dot, kernel_left, solve_row, vec_add, vec_conj,
+                     vec_mat, vec_sub)
+from .tuples import common_fixed_space, dual_tuple, h_space, w_space
 
 
 def lift_parabolic(g_i, v_i):
     """A deterministic v' with v'*(g_i - 1) = v_i; NotParabolic if none."""
-    from .linalg import solve_row
     ident = Matrix.identity(g_i.field, g_i.rows)
     x = solve_row(g_i - ident, v_i)
     if x is None:
@@ -49,40 +58,65 @@ def _blocks(v, r, d):
     return [tuple(v[i * d:(i + 1) * d]) for i in range(r)]
 
 
+def chain_row(gstar, phi):
+    """The phi factor of the cup product, block i v*_i + T_i*(g*_i - 1).
+
+    T_i = sum_{j<i} v*_j g*_(j+1)...g*_(i-1) is built incrementally.
+    """
+    d, r = gstar.dim, gstar.r
+    T = tuple(gstar.field.zero() for _ in range(d))
+    out = []
+    for v, m in zip(_blocks(phi, r, d), gstar.mats):
+        Tm = vec_mat(T, m)
+        out.extend(vec_add(v, vec_sub(Tm, T)))
+        T = vec_add(Tm, v)
+    return tuple(out)
+
+
+def lift_row(g, psi):
+    """The psi factor of the cup product: its r lifts, concatenated."""
+    out = []
+    for m, w in zip(g.mats, _blocks(psi, g.r, g.dim)):
+        out.extend(lift_parabolic(m, w))
+    return tuple(out)
+
+
+def _check_dual(gstar, g):
+    """TupleMismatch unless gstar is dual_tuple(g), i.e. g_i^T * g*_i = 1."""
+    if gstar.r != g.r or gstar.dim != g.dim or gstar.field != g.field:
+        raise TupleMismatch("first tuple is not the dual of the second")
+    ident = Matrix.identity(g.field, g.dim)
+    for m, ms in zip(g.mats, gstar.mats):
+        if m.transpose() * ms != ident:
+            raise TupleMismatch("first tuple is not the dual of the second")
+
+
 def cup_pairing(gstar, g, phi, psi, lifts=None):
     """The cup product of phi (cocycle for g*) with psi (cocycle for g).
 
     lifts, if given, must solve lifts[i]*(g_i - 1) = psi block i; any
     choice gives the same value, which the test suite exercises.
     """
-    if gstar != dual_tuple(g):
-        raise TupleMismatch("first tuple is not the dual of the second")
-    d, r = g.dim, g.r
-    vs = _blocks(phi, r, d)
-    ws = _blocks(psi, r, d)
+    _check_dual(gstar, g)
     if lifts is None:
-        lifts = [lift_parabolic(g.mats[i], ws[i]) for i in range(r)]
+        row = lift_row(g, psi)
     else:
-        ident = Matrix.identity(g.field, d)
-        for i in range(r):
+        ident = Matrix.identity(g.field, g.dim)
+        ws = _blocks(psi, g.r, g.dim)
+        row = []
+        for i in range(g.r):
             if vec_mat(lifts[i], g.mats[i] - ident) != ws[i]:
                 raise NotParabolic("lift %d does not solve v'(g-1) = v"
                                    % (i + 1))
-    total = g.field.zero()
-    # T_i = sum_{j<i} v*_j g*_{j+1}...g*_{i-1}, built incrementally
-    T = tuple(g.field.zero() for _ in range(d))
-    for i in range(r):
-        term = dot(vs[i], lifts[i])
-        ident = Matrix.identity(g.field, d)
-        term = term + dot(vec_mat(T, gstar.mats[i] - ident), lifts[i])
-        total = total + term
-        T = vec_add(vec_mat(T, gstar.mats[i]), vs[i])
-    return total
+            row.extend(lifts[i])
+    return dot(chain_row(gstar, phi), row)
 
 
 def cycle_to_cocycle(g, w_list):
     """Blocks v_i = w_i - w_(i-1)*g_i, cyclically (w_0 means w_r)."""
-    assert len(w_list) == g.r
+    if len(w_list) != g.r:
+        raise TupleMismatch("expected %d chain vectors, got %d"
+                            % (g.r, len(w_list)))
     out = []
     for i in range(g.r):
         prev = w_list[i - 1]  # i = 0 wraps to w_r
@@ -102,7 +136,8 @@ class SesquiData:
     __slots__ = ("kind", "J")
 
     def __init__(self, kind, J):
-        assert kind in _KINDS
+        if kind not in _KINDS:
+            raise FormNotInvariant("unknown form kind %r" % (kind,))
         self.kind = kind
         self.J = J
 
@@ -143,7 +178,11 @@ def _kappa_image(v_blocks, Jt, conj_first):
 
 
 def gram_on_W(g, form):
-    """Gram matrix of the induced form on the W_g representative basis."""
+    """Gram matrix of the induced form on the W_g representative basis.
+
+    G = A * L^T (times -i for a hermitian form): row k of A is the
+    chain_row of kappa(rep_k), row l of L is the lift_row of rep_l.
+    """
     form.check(g)
     hermitian = form.kind == "hermitian"
     if hermitian:
@@ -155,28 +194,27 @@ def gram_on_W(g, form):
     else:
         J = form.J
     ws = w_space(g)
-    gstar = dual_tuple(g)
-    Hstar = None
-    Jt = J.transpose()
-    d, r = g.dim, g.r
-    entries = []
-    for rep_k in ws.chart.reps:
-        row = []
-        blocks = _blocks(rep_k, r, d)
-        phi = _kappa_image(blocks, Jt, conj_first=hermitian)
-        # kappa of a parabolic cocycle for g must be parabolic for g*
-        if Hstar is None:
-            from .tuples import h_space
-            Hstar = h_space(gstar)
-        assert Hstar.contains(phi), "kappa image left H_(g*); form not invariant?"
-        for rep_l in ws.chart.reps:
-            val = cup_pairing(gstar, g, phi, rep_l)
-            if hermitian:
-                val = -i_elem * val
-            row.append(val)
-        entries.append(tuple(row))
-    n = ws.dim
-    G = Matrix.from_rows(g.field, entries) if n else Matrix.zero(g.field, 0, 0)
+    reps = ws.chart.reps
+    if reps:
+        gstar = dual_tuple(g)
+        Hstar = h_space(gstar)
+        Jt = J.transpose()
+        A = []
+        for rep in reps:
+            phi = _kappa_image(_blocks(rep, g.r, g.dim), Jt,
+                               conj_first=hermitian)
+            # kappa of a parabolic cocycle for g must be parabolic for g*
+            if not Hstar.contains(phi):
+                raise FormNotInvariant("kappa image of a W representative "
+                                       "is not a parabolic cocycle for g*")
+            A.append(chain_row(gstar, phi))
+        L = [lift_row(g, rep) for rep in reps]
+        G = Matrix.from_rows(g.field, A) * \
+            Matrix.from_rows(g.field, L).transpose()
+        if hermitian:
+            G = G * -i_elem
+    else:
+        G = Matrix.zero(g.field, 0, 0)
     if hermitian:
         kind = "hermitian"
     elif form.kind == "bilinear-symmetric":
@@ -300,7 +338,9 @@ def predicted_signature(g, eigen_exponents=None):
             else:
                 raise NotRootOfUnity("entry %s is not a power of zeta_%d"
                                      % (x, n))
-    assert len(eigen_exponents) == g.r
+    if len(eigen_exponents) != g.r:
+        raise NotRootOfUnity("expected eigenvalues for %d matrices, got %d"
+                             % (g.r, len(eigen_exponents)))
     for mi, (m, exps) in enumerate(zip(g.mats, eigen_exponents)):
         if len(exps) != d:
             raise NotRootOfUnity("matrix %d: expected %d eigenvalues"
@@ -323,6 +363,6 @@ def predicted_signature(g, eigen_exponents=None):
             mubar_sum += (1 - mu) if mu > 0 else Fraction(0)
     p = mu_sum - d
     q = mubar_sum - d
-    assert p.denominator == 1 and q.denominator == 1, \
-        "signature formula did not give integers"
+    if p.denominator != 1 or q.denominator != 1:
+        raise NotRootOfUnity("signature formula did not give integers")
     return (int(p), int(q))

@@ -90,6 +90,11 @@ class Problem:
         self.eigenvalues = eigenvalues
 
 
+def _is_int(x):
+    """A JSON integer; true and false are Python ints but not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_problem(doc):
     if not isinstance(doc, dict):
         raise ProblemFileError("top level must be an object")
@@ -100,11 +105,11 @@ def parse_problem(doc):
     if not isinstance(fld, dict) or "cyclotomic_order" not in fld:
         raise ProblemFileError('"field" must be {"cyclotomic_order": n}')
     n = fld["cyclotomic_order"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ProblemFileError("cyclotomic_order must be a positive integer")
     field = CycloField(n)
     d = doc["dimension"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ProblemFileError("dimension must be a positive integer")
     raw_tuple = doc["tuple"]
     if not isinstance(raw_tuple, list):
@@ -163,7 +168,7 @@ def parse_problem(doc):
         raw = doc["eigenvalues"]
         ok = isinstance(raw, list) and len(raw) == g.r and all(
             isinstance(row, list) and len(row) == d and
-            all(isinstance(k, int) for k in row) for row in raw)
+            all(_is_int(k) for k in row) for row in raw)
         if not ok:
             raise ProblemFileError(
                 '"eigenvalues" must be %d lists of %d integers' % (g.r, d))

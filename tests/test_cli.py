@@ -141,6 +141,25 @@ def test_invalid_documents_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["dimension", "cyclotomic_order"])
+def test_boolean_integers_exit_2(key, tmp_path, capsys):
+    # JSON true is a Python int; it must not pass as 1
+    doc = {
+        "field": {"cyclotomic_order": 3},
+        "dimension": 1,
+        "tuple": [["z"], ["z"], ["z"]],
+    }
+    if key == "dimension":
+        doc["dimension"] = True
+    else:
+        doc["field"]["cyclotomic_order"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(["w-basis", str(path)], capsys)
+    assert code == 2
+    assert key in err
+
+
 def test_incompatible_variation_exits_3(tmp_path, capsys):
     doc = {
         "field": {"cyclotomic_order": 3},

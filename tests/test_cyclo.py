@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import rand_element, rand_nonzero
 from parcoh.cyclo import CycloField, format_element, parse_element
@@ -129,6 +131,16 @@ def test_coercion_into_larger_field():
         assert (a + b).coerce(big) == a.coerce(big) + b.coerce(big)
     with pytest.raises(NoEmbedding):
         CycloField(5).zeta().coerce(big)
+
+
+@given(st.fractions(max_denominator=50), st.sampled_from(ORDERS + [7, 9]))
+def test_rational_elements_hash_like_the_rational(q, n):
+    x = CycloField(n).from_rational(q)
+    assert x == q
+    assert hash(x) == hash(q)
+    if q.denominator == 1:
+        assert hash(x) == hash(int(q))
+        assert len({x, int(q)}) == 1
 
 
 def test_mixing_fields_raises():

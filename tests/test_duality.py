@@ -1,7 +1,11 @@
 """Cup pairing, Hermitian Gram matrices, and exact signatures."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,8 +18,8 @@ from parcoh.duality import (SesquiData, cup_pairing, cycle_to_cocycle,
                             signature)
 from parcoh.errors import (FormNotInvariant, NonzeroH0, NotHermitian,
                            NotParabolic, TupleMismatch)
-from parcoh.linalg import (Matrix, kernel_left, vec_add, vec_mat, vec_scale,
-                           vec_sub)
+from parcoh.linalg import (Matrix, kernel_left, vec_add, vec_conj, vec_mat,
+                           vec_scale, vec_sub)
 from parcoh.tuples import (MatTuple, dual_tuple, e_space, h_space, w_space)
 
 
@@ -38,6 +42,20 @@ def test_cup_pairing_requires_the_dual_tuple():
     v = rand_h_elem(H, rng)
     with pytest.raises(TupleMismatch):
         cup_pairing(g, g, v, v)
+    gs = dual_tuple(g)
+    vs = rand_h_elem(h_space(gs), rng)
+    cup_pairing(gs, g, vs, v)
+    # wrong in one matrix only: the last one, swapped for its transpose
+    mats = list(gs.mats)
+    assert mats[-1] != mats[-1].transpose()
+    mats[-1] = mats[-1].transpose()
+    with pytest.raises(TupleMismatch):
+        cup_pairing(MatTuple(F, 2, mats), g, vs, v)
+    # a shorter tuple and a tuple over another field are not the dual
+    with pytest.raises(TupleMismatch):
+        cup_pairing(MatTuple(F, 2, gs.mats[:-1]), g, vs, v)
+    with pytest.raises(TupleMismatch):
+        cup_pairing(gs.coerce(CycloField(6)), g, vs, v)
 
 
 def test_cup_agrees_with_chain_oracle():
@@ -166,6 +184,94 @@ def test_cup_is_bilinear():
         c * cup_pairing(gs, g, a, x)
     assert cup_pairing(gs, g, a, vec_scale(x, c)) == \
         c * cup_pairing(gs, g, a, x)
+
+
+def _kappa(v, J, d, hermitian):
+    """v -> conj(v)*J^T (hermitian) or v*J^T (bilinear), block by block."""
+    out = []
+    for i in range(0, len(v), d):
+        b = tuple(v[i:i + d])
+        out.extend(vec_mat(vec_conj(b) if hermitian else b, J.transpose()))
+    return tuple(out)
+
+
+def _assert_gram_matches_oracle(g, form):
+    res = gram_on_W(g, form)
+    hermitian = form.kind == "hermitian"
+    J = form.J
+    if hermitian:
+        big = CycloField(lcm(g.field.n, 4))
+        g, J = g.coerce(big), J.coerce(big)
+        scale = -big.zeta(big.n // 4)
+    else:
+        scale = g.field.one()
+    gs = dual_tuple(g)
+    reps = res.wspace.chart.reps
+    assert res.G.rows == res.G.cols == len(reps)
+    for k, rep_k in enumerate(reps):
+        phi = _kappa(rep_k, J, g.dim, hermitian)
+        for l, rep_l in enumerate(reps):
+            assert res.G[k, l] == scale * cup_chain_oracle(gs, g, phi, rep_l)
+
+
+def test_gram_entries_match_the_chain_oracle():
+    rng = random.Random(617)
+    for n in (3, 5, 12):
+        F = CycloField(n)
+        for _ in range(3):
+            g, _ = unit_scalar_tuple(F, rng.randint(4, 6), rng)
+            J = Matrix.scalar(F, 1, F.from_rational(rng.randint(1, 3)))
+            _assert_gram_matches_oracle(g, SesquiData("hermitian", J))
+    F = CycloField(3)
+    J = Matrix.from_rows(F, [[F.zero(), F.one()], [-F.one(), F.zero()]])
+    for _ in range(3):
+        g = sl2_tuple(F, rng.randint(3, 4), rng)
+        _assert_gram_matches_oracle(g, SesquiData("bilinear-alternating", J))
+
+
+_UNDER_O = """
+from fractions import Fraction
+from parcoh.cyclo import CycloField
+from parcoh.duality import SesquiData, gram_on_W, predicted_signature
+from parcoh.errors import FormNotInvariant, NotRootOfUnity
+from parcoh.linalg import Matrix
+from parcoh.tuples import MatTuple
+
+class Unchecked(SesquiData):
+    __slots__ = ()
+
+    def check(self, g):
+        pass
+
+assert not __debug__
+F = CycloField(3)
+one = Matrix.identity(F, 1)
+try:
+    SesquiData("bogus", one)
+except FormNotInvariant:
+    print("kind")
+z = Matrix.scalar(F, 1, F.zeta())
+try:
+    predicted_signature(MatTuple(F, 1, [z, z, z]), [[1], [1]])
+except NotRootOfUnity:
+    print("exponents")
+bad = MatTuple(F, 1, [Matrix.scalar(F, 1, F.from_rational(q))
+                      for q in (2, 3, Fraction(1, 6))])
+try:
+    gram_on_W(bad, Unchecked("hermitian", one))
+except FormNotInvariant:
+    print("kappa")
+"""
+
+
+def test_invariants_survive_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["kind", "exponents", "kappa"]
 
 
 def test_cycle_to_cocycle_lands_in_H():
