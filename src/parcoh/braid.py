@@ -4,15 +4,33 @@ Words act left to right (first letter first), matching path composition
 "first alpha then beta" and the right action of linear maps on row
 vectors: applying Phi(g, b) then Phi(g^b, b') multiplies the matrices in
 that order, v -> v*M*M'.
+
+The letter b_i at the tuple (..., a, b, ...) (a = g_i, b = g_(i+1))
+moves the pair to (b, b^-1 a b), and b_i^-1 moves it to (a b a^-1, a).
+Phi of a letter differs from the identity only in block columns i and
+i+1, so phi_on_H keeps the running product T and rewrites just those
+two block columns per letter (T_k = block column k):
+
+    b_i:     T_i     <- T_(i+1)
+             T_(i+1) <- T_i b + T_(i+1) (1 - b^-1 a b)
+    b_i^-1:  T_i     <- T_i (b - 1) a^-1 + T_(i+1) a^-1
+             T_(i+1) <- T_i
+
+A letter costs O(r d^3) field operations and needs at most the d x d
+inverse of a or b; no (r d) x (r d) product or inverse is formed.
 """
 
 import re
 
 from .errors import (BraidSyntaxError, DoesNotPreserveE, IndexOutOfRange,
-                     StrandMismatch)
-from .linalg import Matrix, block_diag, vec_mat
+                     NotInvertible, StrandMismatch, TupleMismatch)
+from .linalg import Matrix, _row_times, block_diag, vec_mat
 
 _LETTER = re.compile(r"^b(\d+)(?:\^(-?\d+))?$")
+
+# parse_braid refuses words longer than this, counted before free
+# reduction, so a power like b1^(10^12) fails before it is expanded
+MAX_LETTERS = 10000
 
 
 class BraidWord:
@@ -33,7 +51,9 @@ class BraidWord:
         return len(self.letters)
 
     def __mul__(self, other):
-        assert self.strands == other.strands
+        if self.strands != other.strands:
+            raise StrandMismatch("cannot multiply braids on %d and %d strands"
+                                 % (self.strands, other.strands))
         return BraidWord(self.strands,
                          _free_reduce(self.letters + other.letters))
 
@@ -59,17 +79,27 @@ def _free_reduce(letters):
 
 
 def parse_braid(text, strands):
-    """Parse a whitespace-separated word like "b3 b2^2 b3^-1"."""
+    """Parse a whitespace-separated word like "b3 b2^2 b3^-1".
+
+    Raises BraidSyntaxError when the word, with powers expanded, has
+    more than MAX_LETTERS letters.
+    """
     letters = []
     for tok in text.split():
         m = _LETTER.match(tok)
         if not m:
             raise BraidSyntaxError("bad braid letter %r" % tok)
-        idx = int(m.group(1))
-        power = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            idx = int(m.group(1))
+            power = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:  # more digits than int() accepts
+            raise BraidSyntaxError("bad braid letter %r" % tok[:40])
         if not 1 <= idx <= strands - 1:
             raise IndexOutOfRange(
                 "generator b%d out of range for %d strands" % (idx, strands))
+        if len(letters) + abs(power) > MAX_LETTERS:
+            raise BraidSyntaxError("braid word longer than %d letters"
+                                   % MAX_LETTERS)
         sign = 1 if power >= 0 else -1
         letters.extend([(idx, sign)] * abs(power))
     return BraidWord(strands, _free_reduce(letters))
@@ -81,24 +111,28 @@ def _check_strands(g, beta):
                              % (beta.strands, g.r))
 
 
-def _act_letter(g, idx, exp):
-    """One generator (or inverse) acting on the tuple, new MatTuple."""
-    mats = list(g.mats)
-    i = idx - 1  # 0-based position
+def _act_letter(mats, i, exp):
+    """Move the list mats by b_(i+1)^exp in place (i is 0-based).
+
+    Returns a^-1 for an inverse letter, where a is the old entry i, and
+    None for a positive one.
+    """
     a, b = mats[i], mats[i + 1]
     if exp == 1:
         mats[i], mats[i + 1] = b, b.inverse() * a * b
-    else:
-        mats[i], mats[i + 1] = a * b * a.inverse(), a
-    return type(g)(g.field, g.dim, mats)
+        return None
+    ainv = a.inverse()
+    mats[i], mats[i + 1] = a * b * ainv, a
+    return ainv
 
 
 def act_on_tuple(g, beta):
     """The right action g^beta, letters applied left to right."""
     _check_strands(g, beta)
+    mats = list(g.mats)
     for idx, exp in beta.letters:
-        g = _act_letter(g, idx, exp)
-    return g
+        _act_letter(mats, idx - 1, exp)
+    return type(g)(g.field, g.dim, mats)
 
 
 class ChainMap:
@@ -116,7 +150,9 @@ class ChainMap:
 
     def compose(self, other):
         """self then other (domains must chain)."""
-        assert other.domain_tuple == self.codomain_tuple
+        if other.domain_tuple != self.codomain_tuple:
+            raise TupleMismatch("chain maps do not compose: the second "
+                                "starts at another tuple")
         return ChainMap(self.domain_tuple, other.codomain_tuple,
                         self.matrix * other.matrix)
 
@@ -124,62 +160,49 @@ class ChainMap:
         return "ChainMap(%d x %d)" % (self.matrix.rows, self.matrix.cols)
 
 
-def _phi_letter_matrix(g, idx):
-    """Ambient matrix of Phi(g, b_idx): H_g -> H_(g^b_idx).
+def _mix_pair(rows, i, d, top, bottom, positive):
+    """Apply one letter to block columns i and i+1 of the rows of T.
 
-    Blocks: position idx-1 receives v_(idx+1); position idx receives
-    v_(idx+1)*(1 - g_(idx+1)^-1 g_idx g_(idx+1)) + v_idx*g_(idx+1);
-    everything else passes through.
+    mixed = T_i*top + T_(i+1)*bottom; a positive letter makes the pair
+    (T_(i+1), mixed), an inverse letter (mixed, T_i).
     """
-    d, r = g.dim, g.r
-    f = g.field
-    i = idx - 1
-    gi, gi1 = g.mats[i], g.mats[i + 1]
-    conj = gi1.inverse() * gi * gi1
-    ident = Matrix.identity(f, d)
-    blocks = {}
-    for j in range(r):
-        if j not in (i, i + 1):
-            blocks[(j, j)] = ident
-    blocks[(i + 1, i)] = ident
-    blocks[(i, i + 1)] = gi1
-    blocks[(i + 1, i + 1)] = ident - conj
-    out = Matrix.zero(f, r * d, r * d)
-    ent = list(out.entries)
-    for (bi, bj), m in blocks.items():
-        for a in range(d):
-            row = m.row(a)
-            for b in range(d):
-                ent[(bi * d + a) * (r * d) + bj * d + b] = row[b]
-    return Matrix(f, r * d, r * d, ent)
+    lo, hi = i * d, (i + 2) * d
+    stacked = top.entries + bottom.entries
+    zero = top.field.zero()
+    for row in rows:
+        pair = row[lo:hi]
+        mixed = _row_times(pair, stacked, d, zero)
+        row[lo:hi] = pair[d:] + mixed if positive else mixed + pair[:d]
 
 
 def phi_on_H(g, beta):
     """Phi(g, beta): H_g -> H_(g^beta) as an ambient ChainMap.
 
-    Positive letters use the generator formula; an inverse letter inverts
-    the generator matrix taken at the intermediate tuple it maps from.
+    The running product T starts as the identity and each letter
+    rewrites two of its block columns (see the module docstring).
     """
     _check_strands(g, beta)
-    current = g
-    total = Matrix.identity(g.field, g.r * g.dim)
+    f, d = g.field, g.dim
+    n = g.r * d
+    zero, one = f.zero(), f.one()
+    ident = Matrix.identity(f, d)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    mats = list(g.mats)
     for idx, exp in beta.letters:
-        if exp == 1:
-            step = _phi_letter_matrix(current, idx)
-            current = _act_letter(current, idx, 1)
+        i = idx - 1
+        b = mats[i + 1]
+        ainv = _act_letter(mats, i, exp)
+        if exp == 1:  # mats[i + 1] is now b^-1 a b
+            _mix_pair(rows, i, d, b, ident - mats[i + 1], True)
         else:
-            nxt = _act_letter(current, idx, -1)
-            # Phi(nxt, b_idx) maps H_nxt to H_current; invert it
-            step = _phi_letter_matrix(nxt, idx).inverse()
-            current = nxt
-        total = total * step
-    return ChainMap(g, current, total)
+            _mix_pair(rows, i, d, (b - ident) * ainv, ainv, False)
+    return ChainMap(g, type(g)(f, d, mats),
+                    Matrix(f, n, n, [x for row in rows for x in row]))
 
 
 def psi(g, h):
     """Psi(g, h): H_(h g h^-1) -> H_g, blockwise right multiplication by h."""
     if not h.is_invertible():
-        from .errors import NotInvertible
         raise NotInvertible("conjugating matrix is singular")
     domain = g.conjugated(h)
     mat = block_diag(g.field, [h] * g.r)
@@ -189,19 +212,24 @@ def psi(g, h):
 def induced_on_W(chain_map, dom, cod):
     """Matrix of the induced map W_dom -> W_cod in the chart bases.
 
-    Verifies that the chain map sends H into H and E into E first.
+    Verifies that the chain map sends H into H and E into E first.  Each
+    H basis vector is mapped once; the chart representatives are H basis
+    rows, so their images are taken from those.
     """
-    assert dom.tuple == chain_map.domain_tuple
-    assert cod.tuple == chain_map.codomain_tuple
+    if dom.tuple != chain_map.domain_tuple:
+        raise TupleMismatch("chain map starts at another tuple")
+    if cod.tuple != chain_map.codomain_tuple:
+        raise TupleMismatch("chain map ends at another tuple")
+    images = {}
     for v in dom.H.basis:
-        if not cod.H.contains(chain_map.apply(v)):
+        image = chain_map.apply(v)
+        if not cod.H.contains(image):
             raise DoesNotPreserveE("image of an H basis vector leaves H")
+        images[v] = image
     for v in dom.E.basis:
         if not cod.E.contains(chain_map.apply(v)):
             raise DoesNotPreserveE("image of an E basis vector leaves E")
-    rows = []
-    for rep in dom.chart.reps:
-        rows.append(cod.chart.coords(chain_map.apply(rep)))
+    rows = [cod.chart._coords(images[rep]) for rep in dom.chart.reps]
     if not rows:
         return Matrix.zero(chain_map.matrix.field, 0, cod.dim)
     return Matrix.from_rows(chain_map.matrix.field, rows)

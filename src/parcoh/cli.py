@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import picard as picard_mod
-from .braid import BraidWord, act_on_tuple, phi_on_H
+from .braid import BraidWord, phi_on_H
 from .cyclo import format_element
 from .duality import (cup_pairing, gram_on_W, lift_parabolic,
                       predicted_signature, signature)
@@ -104,16 +104,16 @@ def cmd_monodromy(args):
         _err('--basis explicit requires a "basis" section in the file')
         return 1
     spec = VariationSpec(problem.tuple, problem.generators)
-    report = check_compatibility(spec)
-    if not all(ok for _, ok, _ in report):
-        for name, ok, bad in report:
+    try:
+        rep = monodromy_generators(spec)
+    except IncompatibleSpec:
+        for name, ok, bad in check_compatibility(spec):
             if ok:
                 print("compatibility %s: ok" % name, file=sys.stderr)
             else:
                 print("compatibility %s: FAIL at tuple entry %d"
                       % (name, bad), file=sys.stderr)
         return 3
-    rep = monodromy_generators(spec)
     mats = list(rep.images)
     if not mats:
         if args.json:
@@ -274,7 +274,7 @@ def _verify_checks(problem):
         w1 = BraidWord(beta.strands, beta.letters[:k])
         w2 = BraidWord(beta.strands, beta.letters[k:])
         first = phi_on_H(g, w1)
-        second = phi_on_H(act_on_tuple(g, w1), w2)
+        second = phi_on_H(first.codomain_tuple, w2)
         if not maps_equal(first.compose(second), phi_on_H(g, beta)):
             ok = False
     yield ("cocycle rule on file words", ok, 5)
@@ -284,7 +284,7 @@ def _verify_checks(problem):
     for i in range(1, r - 1):
         beta = BraidWord(r - 1, [(i, 1)])
         ph = phi_on_H(g, beta)
-        Emoved = e_space(act_on_tuple(g, beta))
+        Emoved = e_space(ph.codomain_tuple)
         for v in e_space(g).basis:
             if not Emoved.contains(vec_mat(v, ph.matrix)):
                 ok = False

@@ -44,20 +44,29 @@ def dot(u, v):
     return total
 
 
+def _row_times(v, entries, ncols, zero):
+    """The row v times the row-major matrix entries, zero terms skipped.
+
+    A zero entry of v skips a whole row of the matrix and a zero matrix
+    entry skips its term, so sparse and block-diagonal factors cost only
+    their nonzero products.
+    """
+    acc = [None] * ncols
+    for i, a in enumerate(v):
+        if a:
+            base = i * ncols
+            for j in range(ncols):
+                y = entries[base + j]
+                if y:
+                    term = a * y
+                    acc[j] = term if acc[j] is None else acc[j] + term
+    return [zero if x is None else x for x in acc]
+
+
 def vec_mat(v, m):
     """v*M for a row vector v of length m.rows."""
     assert len(v) == m.rows
-    ncols = m.cols
-    e = m.entries
-    out = []
-    for j in range(ncols):
-        acc = None
-        for i, a in enumerate(v):
-            if a:
-                term = a * e[i * ncols + j]
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else m.field.zero())
-    return tuple(out)
+    return tuple(_row_times(v, m.entries, m.cols, m.field.zero()))
 
 
 def vec_conj(v):
@@ -143,20 +152,12 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             assert self.cols == other.rows
-            n, m, k = self.rows, other.cols, self.cols
-            a, b = self.entries, other.entries
+            k, zero = self.cols, self.field.zero()
             out = []
-            for i in range(n):
-                arow = a[i * k:(i + 1) * k]
-                for j in range(m):
-                    acc = None
-                    for t in range(k):
-                        x = arow[t]
-                        if x:
-                            term = x * b[t * m + j]
-                            acc = term if acc is None else acc + term
-                    out.append(acc if acc is not None else self.field.zero())
-            return Matrix(self.field, n, m, out)
+            for i in range(self.rows):
+                out.extend(_row_times(self.entries[i * k:(i + 1) * k],
+                                      other.entries, other.cols, zero))
+            return Matrix(self.field, self.rows, other.cols, out)
         # scalar
         return Matrix(self.field, self.rows, self.cols,
                       [a * other for a in self.entries])
@@ -397,6 +398,10 @@ class QuotientChart:
         """
         if not self.ambient.contains(v):
             raise NotASubspace("vector is not in the ambient space")
+        return self._coords(v)
+
+    def _coords(self, v):
+        """coords(v) for a v already known to lie in the ambient space."""
         field, k = self.ambient.field, len(self.reps)
         if self._solver is None:
             rows = [list(r) for r in self.reps + self.sub.basis]

@@ -10,6 +10,7 @@ Psi(g, chi(gamma)).
 
 from .braid import act_on_tuple, induced_on_W, phi_on_H, psi
 from .errors import IncompatibleSpec, UnknownGenerator
+from .linalg import Matrix
 from .tuples import w_space
 
 
@@ -54,27 +55,26 @@ def check_compatibility(spec):
     return report
 
 
-def _generator_matrix(g, wspace, beta, chi):
-    ph = phi_on_H(g, beta)
-    ps = psi(g, chi)
-    if ph.codomain_tuple != ps.domain_tuple:
-        raise IncompatibleSpec(
-            "braid image of the tuple does not match conjugation by chi")
-    return induced_on_W(ph.compose(ps), wspace, wspace)
-
-
 def monodromy_generators(spec):
-    """The monodromy matrices of all named generators on W_g."""
-    report = check_compatibility(spec)
-    bad = [name for name, ok, _ in report if not ok]
+    """The monodromy matrices of all named generators on W_g.
+
+    Phi and Psi are built once per generator; a generator is compatible
+    when the braid moves g to the tuple that Psi starts from.  Every
+    incompatible name is reported, in spec order, before W is built.
+    """
+    g = spec.tuple
+    maps, bad = [], []
+    for name, beta, chi in spec.generators:
+        ph, ps = phi_on_H(g, beta), psi(g, chi)
+        if ph.codomain_tuple != ps.domain_tuple:
+            bad.append(name)
+        else:
+            maps.append((name, ph.compose(ps)))
     if bad:
         raise IncompatibleSpec("compatibility fails for: %s" % ", ".join(bad))
-    g = spec.tuple
     ws = w_space(g)
-    images = []
-    for name, beta, chi in spec.generators:
-        images.append((name, _generator_matrix(g, ws, beta, chi)))
-    return MonodromyRep(ws, images)
+    return MonodromyRep(ws, [(name, induced_on_W(m, ws, ws))
+                             for name, m in maps])
 
 
 def eta(spec, word):
@@ -85,7 +85,6 @@ def eta(spec, word):
     """
     rep = monodromy_generators(spec)
     if not word.split():
-        from .linalg import Matrix
         return Matrix.identity(spec.tuple.field, rep.wspace.dim)
     total = None
     for tok in word.split():
@@ -103,6 +102,5 @@ def eta(spec, word):
         for _ in range(power):
             total = m if total is None else total * m
     if total is None:
-        from .linalg import Matrix
         return Matrix.identity(spec.tuple.field, rep.wspace.dim)
     return total

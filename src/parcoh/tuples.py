@@ -150,7 +150,6 @@ class WSpace:
 def w_space(g):
     H = h_space(g)
     E = e_space(g)
-    assert H.contains_subspace(E), "E_g not inside H_g; tuple invalid?"
     return WSpace(g, H, E, quotient_chart(H, E))
 
 

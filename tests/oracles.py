@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths of the library routines they
 check: the cup oracle accumulates twisted chains instead of the rolling
-T-sum, and the signature oracle counts numerical eigenvalue signs of the
-complex embedding instead of doing exact congruence reduction.
+T-sum, the signature oracle counts numerical eigenvalue signs of the
+complex embedding instead of doing exact congruence reduction, and the
+Phi oracle multiplies dense (r d) x (r d) letter matrices instead of
+updating two block columns per letter.
 """
 
 import mpmath
@@ -72,3 +74,50 @@ def numeric_signature(G, prec=80):
         p = sum(1 for e in eigvals if e > tol)
         q = sum(1 for e in eigvals if e < -tol)
         return (p, q, n - p - q)
+
+
+def _phi_letter_matrix(mats, d, i):
+    """Dense matrix of Phi(g, b_(i+1)): H_g -> H_(g^b_(i+1)), i 0-based.
+
+    Blocks: position i receives v_(i+1); position i+1 receives
+    v_(i+1)*(1 - g_(i+1)^-1 g_i g_(i+1)) + v_i*g_(i+1); every other
+    block passes through.
+    """
+    r = len(mats)
+    field = mats[0].field
+    gi, gi1 = mats[i], mats[i + 1]
+    ident = Matrix.identity(field, d)
+    blocks = {(j, j): ident for j in range(r) if j not in (i, i + 1)}
+    blocks[(i + 1, i)] = ident
+    blocks[(i, i + 1)] = gi1
+    blocks[(i + 1, i + 1)] = ident - gi1.inverse() * gi * gi1
+    ent = [field.zero()] * (r * d) ** 2
+    for (bi, bj), m in blocks.items():
+        for a in range(d):
+            for b in range(d):
+                ent[(bi * d + a) * (r * d) + bj * d + b] = m[a, b]
+    return Matrix(field, r * d, r * d, ent)
+
+
+def phi_dense_oracle(g, beta):
+    """Phi(g, beta) as a product of dense letter matrices; (matrix, mats).
+
+    A positive letter multiplies by the generator matrix at the current
+    tuple; an inverse letter multiplies by the full inverse of the
+    generator matrix taken at the tuple it moves to.  mats is the moved
+    tuple as a list of matrices.
+    """
+    d = g.dim
+    mats = list(g.mats)
+    total = Matrix.identity(g.field, g.r * d)
+    for idx, exp in beta.letters:
+        i = idx - 1
+        a, b = mats[i], mats[i + 1]
+        if exp == 1:
+            step = _phi_letter_matrix(mats, d, i)
+            mats[i], mats[i + 1] = b, b.inverse() * a * b
+        else:
+            mats[i], mats[i + 1] = a * b * a.inverse(), a
+            step = _phi_letter_matrix(mats, d, i).inverse()
+        total = total * step
+    return total, mats

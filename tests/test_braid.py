@@ -1,12 +1,16 @@
 """Braid words, the action on tuples, and the chain maps Phi and Psi."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from helpers import rand_braid, rand_h_elem, rand_invertible, rand_tuple
-from parcoh.braid import (BraidWord, act_on_tuple, induced_on_W, parse_braid,
-                          phi_on_H, psi)
+from oracles import phi_dense_oracle
+from parcoh.braid import (MAX_LETTERS, BraidWord, act_on_tuple, induced_on_W,
+                          parse_braid, phi_on_H, psi)
 from parcoh.cyclo import CycloField
 from parcoh.errors import BraidSyntaxError, IndexOutOfRange, StrandMismatch
 from parcoh.tuples import h_space, w_space
@@ -31,6 +35,20 @@ def test_parse_braid_rejects_garbage():
         parse_braid("b9", 4)
     with pytest.raises(IndexOutOfRange):
         parse_braid("b0", 4)
+
+
+def test_parse_braid_caps_the_expanded_length():
+    assert len(parse_braid("b1^%d" % MAX_LETTERS, 3)) == MAX_LETTERS
+    assert len(parse_braid("b1^-%d" % MAX_LETTERS, 3)) == MAX_LETTERS
+    # counted before free reduction, over the whole word
+    for text in ("b1^%d" % (MAX_LETTERS + 1),
+                 "b1^%d b2^-1" % MAX_LETTERS,
+                 "b1^5000 b1^-5001",
+                 "b1^1000000000000",
+                 "b1^" + "9" * 5000,
+                 "b" + "9" * 5000):
+        with pytest.raises(BraidSyntaxError):
+            parse_braid(text, 3)
 
 
 def test_act_on_tuple_single_letter():
@@ -148,6 +166,29 @@ def test_phi_of_inverse_letter_inverts_phi():
             assert round_trip.apply(v) == v
 
 
+def test_phi_on_H_matches_the_dense_oracle():
+    """Two-block-column updates equal the product of dense letter matrices."""
+    rng = random.Random(412)
+    for n in (1, 3, 4):
+        F = CycloField(n)
+        for d in (1, 2, 3):
+            for _ in range(2):
+                g = rand_tuple(F, rng.randint(3, 5), d, rng)
+                s = g.r - 1
+                i = rng.randrange(1, s)
+                # random letters of both signs, then a repeated inverse
+                # letter and a letter with its inverse on one index
+                letters = list(rand_braid(s, rng, rng.randint(2, 6)).letters)
+                letters += [(i, -1), (i, -1), (i, 1)]
+                beta = BraidWord(s, letters)
+                got = phi_on_H(g, beta)
+                want, mats = phi_dense_oracle(g, beta)
+                assert got.matrix.entries == want.entries, (n, d, beta)
+                assert got.codomain_tuple.mats == tuple(mats)
+                assert got.codomain_tuple == act_on_tuple(g, beta)
+                assert got.domain_tuple is g
+
+
 def test_psi_is_blockwise_multiplication():
     rng = random.Random(408)
     F = CycloField(3)
@@ -208,3 +249,50 @@ def test_induced_on_W_is_invertible_and_respects_E():
         chain = phi_on_H(g, beta)
         m = induced_on_W(chain, ws, ws)
         assert m.is_invertible()
+
+
+_UNDER_O = """
+import random
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from helpers import rand_tuple
+from parcoh.braid import BraidWord, induced_on_W, phi_on_H
+from parcoh.cyclo import CycloField
+from parcoh.errors import StrandMismatch, TupleMismatch
+from parcoh.tuples import w_space
+
+assert not __debug__
+try:
+    BraidWord(3, [(1, 1)]) * BraidWord(4, [(1, 1)])
+except StrandMismatch:
+    print("strands")
+rng = random.Random(413)
+F = CycloField(3)
+g = rand_tuple(F, 4, 2, rng)
+h = rand_tuple(F, 4, 2, rng)
+step = phi_on_H(g, BraidWord(3, [(1, 1)]))
+try:
+    step.compose(step)
+except TupleMismatch:
+    print("compose")
+ident = phi_on_H(g, BraidWord(3, []))
+try:
+    induced_on_W(ident, w_space(h), w_space(g))
+except TupleMismatch:
+    print("domain")
+try:
+    induced_on_W(ident, w_space(g), w_space(h))
+except TupleMismatch:
+    print("codomain")
+"""
+
+
+def test_braid_checks_survive_python_O():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(tests),
+                                                   "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, tests],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["strands", "compose", "domain", "codomain"]

@@ -1,6 +1,7 @@
 """The command line interface: outputs, JSON shapes, and exit codes."""
 
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -175,6 +176,39 @@ def test_incompatible_variation_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = _run(["monodromy", str(path)], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["monodromy", "verify"])
+def test_singular_chi_exits_2(command, tmp_path, capsys):
+    doc = {
+        "field": {"cyclotomic_order": 3},
+        "dimension": 1,
+        "tuple": [["z"], ["z"], ["z"]],
+        "braids": {"t": "b1^2"},
+        "chi": {"t": [["0"]]},
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run([command, str(path)], capsys)
+    assert code == 2
+    assert "singular" in err
+    assert "Traceback" not in err
+
+
+def test_huge_braid_power_exits_2_fast(tmp_path, capsys):
+    doc = {
+        "field": {"cyclotomic_order": 3},
+        "dimension": 1,
+        "tuple": [["z"], ["z"], ["z"]],
+        "braids": {"t": "b1^1000000000000"},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = _run(["monodromy", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "letters" in err
 
 
 def test_form_not_invariant_exits_4(tmp_path, capsys):

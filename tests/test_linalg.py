@@ -194,6 +194,23 @@ def _ambient_and_sub(draw):
 
 
 @PROPERTY
+@given(st.data())
+def test_product_entries_are_row_column_dots(data):
+    # zero-heavy factors exercise the skips on both sides of the product
+    F = data.draw(st.sampled_from(FIELDS))
+    n, k, m = (data.draw(st.integers(lo, 4)) for lo in (0, 1, 0))
+    a = Matrix.from_rows(F, data.draw(_rows(F, n, k))) if n \
+        else Matrix.zero(F, 0, k)
+    b = Matrix.from_rows(F, data.draw(_rows(F, k, m)))
+    prod = a * b
+    assert (prod.rows, prod.cols) == (n, m)
+    cols = [tuple(b[t, j] for t in range(k)) for j in range(m)]
+    for i in range(n):
+        assert prod.row(i) == tuple(dot(a.row(i), c) for c in cols)
+        assert vec_mat(a.row(i), b) == prod.row(i)
+
+
+@PROPERTY
 @given(_square())
 def test_inverse_is_two_sided_or_raises(m):
     ident = Matrix.identity(m.field, m.rows)

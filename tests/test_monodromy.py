@@ -5,8 +5,10 @@ import random
 import pytest
 
 from helpers import rand_tuple
-from parcoh import picard
-from parcoh.braid import parse_braid
+from oracles import phi_dense_oracle
+from parcoh import monodromy, picard
+from parcoh.braid import BraidWord, ChainMap, induced_on_W, parse_braid, \
+    phi_on_H, psi
 from parcoh.cyclo import CycloField
 from parcoh.errors import IncompatibleSpec, UnknownGenerator
 from parcoh.linalg import Matrix
@@ -34,6 +36,60 @@ def test_compatibility_failure_is_reported_with_position():
     assert report == [("gamma", False, 1)]
     with pytest.raises(IncompatibleSpec):
         monodromy_generators(g)
+
+
+def test_every_incompatible_generator_is_named_in_spec_order(monkeypatch):
+    F = CycloField(3)
+    one, zero, z = F.one(), F.zero(), F.zeta()
+    a = Matrix.from_rows(F, [[one, one], [zero, one]])
+    b = Matrix.from_rows(F, [[one, zero], [z, one]])
+    c = (a * b).inverse()
+    ident = Matrix.identity(F, 2)
+    spec = VariationSpec(MatTuple(F, 2, [a, b, c]), [
+        ("fixed", parse_braid("", 2), ident),
+        ("later", parse_braid("b1^-1", 2), ident),
+        ("still", parse_braid("b1 b1^-1", 2), ident),
+        ("earlier", parse_braid("b1", 2), ident)])
+    assert [ok for _, ok, _ in check_compatibility(spec)] == \
+        [True, False, True, False]
+
+    def no_w_space(g):
+        raise AssertionError("W built for an incompatible spec")
+
+    monkeypatch.setattr(monodromy, "w_space", no_w_space)
+    with pytest.raises(IncompatibleSpec) as err:
+        monodromy_generators(spec)
+    assert str(err.value) == "compatibility fails for: later, earlier"
+
+
+def _full_twist(strands, exp):
+    """(b1 b2 ... b_(s-1))^s, or its inverse for exp = -1."""
+    word = BraidWord(strands, [(i, 1) for i in range(1, strands)] * strands)
+    return word if exp == 1 else word.inverse()
+
+
+def test_monodromy_with_a_nonidentity_twist():
+    """The full twist on g_1..g_(r-1) conjugates them by P = g_1...g_(r-1),
+    g_i -> P^-1 g_i P, and P^-1 = g_r, so its chi is g_r, not 1."""
+    rng = random.Random(502)
+    F = CycloField(3)
+    g = rand_tuple(F, 4, 2, rng)
+    last = g.mats[-1]
+    assert last != Matrix.identity(F, 2)
+    gens = [("twist", _full_twist(g.r - 1, 1), last),
+            ("untwist", _full_twist(g.r - 1, -1), last.inverse())]
+    assert all(ok for _, ok, _ in check_compatibility(VariationSpec(g, gens)))
+    rep = monodromy_generators(VariationSpec(g, gens))
+    ws = rep.wspace
+    assert ws.dim > 0
+    for (_, m), (_, beta, chi) in zip(rep.images, gens):
+        assert m == induced_on_W(phi_on_H(g, beta).compose(psi(g, chi)),
+                                 ws, ws)
+        dense, mats = phi_dense_oracle(g, beta)
+        oracle = ChainMap(g, MatTuple(F, 2, mats), dense)
+        assert m == induced_on_W(oracle.compose(psi(g, chi)), ws, ws)
+    twist, untwist = rep.image_by_name("twist"), rep.image_by_name("untwist")
+    assert twist * untwist == Matrix.identity(F, ws.dim)
 
 
 def test_picard_generators_act_invertibly_on_W():
