@@ -7,7 +7,7 @@ Hermitian refinement, and exact signatures over cyclotomic fields.
 """
 
 from .braid import BraidWord, act_on_tuple, parse_braid, phi_on_H, psi
-from .cyclo import CycloField, format_element, parse_element, sign_of_real
+from .cyclo import CycloField, format_element, parse_element
 from .duality import (SesquiData, cup_pairing, cycle_to_cocycle, gram_on_W,
                       lift_parabolic, predicted_signature, signature)
 from .errors import ParcohError
@@ -28,5 +28,5 @@ __all__ = [
     "format_element", "gram_on_W", "h_space", "lift_parabolic",
     "load_problem", "monodromy_generators", "parse_braid", "parse_element",
     "parse_problem", "phi_on_H", "predicted_signature", "psi",
-    "sign_of_real", "signature", "validate_tuple", "w_space",
+    "signature", "validate_tuple", "w_space",
 ]

@@ -23,7 +23,7 @@ inverse of a or b; no (r d) x (r d) product or inverse is formed.
 import re
 
 from .errors import (BraidSyntaxError, DoesNotPreserveE, IndexOutOfRange,
-                     NotInvertible, StrandMismatch, TupleMismatch)
+                     StrandMismatch, TupleMismatch)
 from .linalg import Matrix, _row_times, block_diag, vec_mat
 
 _LETTER = re.compile(r"^b(\d+)(?:\^(-?\d+))?$")
@@ -202,8 +202,6 @@ def phi_on_H(g, beta):
 
 def psi(g, h):
     """Psi(g, h): H_(h g h^-1) -> H_g, blockwise right multiplication by h."""
-    if not h.is_invertible():
-        raise NotInvertible("conjugating matrix is singular")
     domain = g.conjugated(h)
     mat = block_diag(g.field, [h] * g.r)
     return ChainMap(domain, g, mat)

@@ -20,7 +20,7 @@ from .errors import (BraidSyntaxError, DoesNotPreserveE, FormNotInvariant,
                      NotASubspace, NotHermitian, NotParabolic, NotRootOfUnity,
                      ProblemFileError, StrandMismatch, TupleError,
                      TupleMismatch, UnknownGenerator)
-from .linalg import Matrix, kernel_left, vec_add, vec_mat
+from .linalg import Matrix, kernel_left, vec_add
 from .monodromy import VariationSpec, check_compatibility, monodromy_generators
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
                       vector_to_json)
@@ -254,8 +254,7 @@ def _verify_checks(problem):
     H = ws.H
 
     def maps_equal(a, b):
-        return all(vec_mat(v, a.matrix) == vec_mat(v, b.matrix)
-                   for v in H.basis)
+        return all(a.apply(v) == b.apply(v) for v in H.basis)
 
     # Artin relations, as maps on H
     ok = True
@@ -285,8 +284,8 @@ def _verify_checks(problem):
         beta = BraidWord(r - 1, [(i, 1)])
         ph = phi_on_H(g, beta)
         Emoved = e_space(ph.codomain_tuple)
-        for v in e_space(g).basis:
-            if not Emoved.contains(vec_mat(v, ph.matrix)):
+        for v in ws.E.basis:
+            if not Emoved.contains(ph.apply(v)):
                 ok = False
     yield ("E preserved by braid letters", ok, 5)
 
@@ -321,7 +320,6 @@ def _verify_checks(problem):
             form_ok = False
         if form_ok and problem.generators is not None and ws.dim:
             res = gram_on_W(g, problem.form)
-            spec = VariationSpec(g, problem.generators)
             rep = monodromy_generators(spec)
             ok = True
             for name, m in rep.images:

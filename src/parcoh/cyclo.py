@@ -337,10 +337,6 @@ class CycloElem:
         return format_element(self)
 
 
-def sign_of_real(x):
-    return x.sign()
-
-
 # ---------------------------------------------------------------------------
 # element literals: polynomials in z over Q, e.g. "-1/2*z^2 + 3"
 

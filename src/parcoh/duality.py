@@ -127,7 +127,7 @@ def cycle_to_cocycle(g, w_list):
     return tuple(flat)
 
 
-_KINDS = ("bilinear-symmetric", "bilinear-alternating", "hermitian")
+_FORM_KINDS = ("hermitian", "bilinear-symmetric", "bilinear-alternating")
 
 
 class SesquiData:
@@ -136,7 +136,7 @@ class SesquiData:
     __slots__ = ("kind", "J")
 
     def __init__(self, kind, J):
-        if kind not in _KINDS:
+        if kind not in _FORM_KINDS:
             raise FormNotInvariant("unknown form kind %r" % (kind,))
         self.kind = kind
         self.J = J
@@ -195,27 +195,23 @@ def gram_on_W(g, form):
         J = form.J
     ws = w_space(g)
     reps = ws.chart.reps
-    if reps:
-        gstar = dual_tuple(g)
-        Hstar = h_space(gstar)
-        Jt = J.transpose()
-        A = []
-        for rep in reps:
-            phi = _kappa_image(_blocks(rep, g.r, g.dim), Jt,
-                               conj_first=hermitian)
-            # kappa of a parabolic cocycle for g must be parabolic for g*
-            if not Hstar.contains(phi):
-                raise FormNotInvariant("kappa image of a W representative "
-                                       "is not a parabolic cocycle for g*")
-            A.append(chain_row(gstar, phi))
-        L = [lift_row(g, rep) for rep in reps]
-        G = Matrix.from_rows(g.field, A) * \
-            Matrix.from_rows(g.field, L).transpose()
-        if hermitian:
-            G = G * -i_elem
-    else:
-        G = Matrix.zero(g.field, 0, 0)
+    gstar = dual_tuple(g)
+    Hstar = h_space(gstar)
+    Jt = J.transpose()
+    A = []
+    for rep in reps:
+        phi = _kappa_image(_blocks(rep, g.r, g.dim), Jt,
+                           conj_first=hermitian)
+        # kappa of a parabolic cocycle for g must be parabolic for g*
+        if not Hstar.contains(phi):
+            raise FormNotInvariant("kappa image of a W representative "
+                                   "is not a parabolic cocycle for g*")
+        A.append(chain_row(gstar, phi))
+    L = [lift_row(g, rep) for rep in reps]
+    G = Matrix.from_rows(g.field, A) * \
+        Matrix.from_rows(g.field, L).transpose()
     if hermitian:
+        G = G * -i_elem
         kind = "hermitian"
     elif form.kind == "bilinear-symmetric":
         kind = "bilinear-alternating"

@@ -27,10 +27,6 @@ def vec_scale(u, c):
     return tuple(a * c for a in u)
 
 
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
 def vec_is_zero(u):
     return not any(u)
 
@@ -71,10 +67,6 @@ def vec_mat(v, m):
 
 def vec_conj(v):
     return tuple(a.conjugate() for a in v)
-
-
-def vec_coerce(v, field):
-    return tuple(a.coerce(field) for a in v)
 
 
 class Matrix:
@@ -184,9 +176,6 @@ class Matrix:
         return Matrix(field, self.rows, self.cols,
                       [a.coerce(field) for a in self.entries])
 
-    def is_zero(self):
-        return not any(self.entries)
-
     def trace(self):
         assert self.rows == self.cols
         t = self.field.zero()
@@ -196,7 +185,8 @@ class Matrix:
 
     def inverse(self):
         """Gauss-Jordan inverse; raises NotInvertible on a singular matrix."""
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise NotInvertible("matrix is not square")
         n = self.rows
         rows = [list(r) for r in self.row_list()]
         track = [list(r) for r in Matrix.identity(self.field, n).row_list()]
@@ -353,12 +343,6 @@ class Subspace:
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.basis)
-
-    def coerce(self, field):
-        if field == self.field:
-            return self
-        return Subspace(field, self.ambient_dim,
-                        tuple(vec_coerce(r, field) for r in self.basis))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

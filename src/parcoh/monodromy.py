@@ -21,9 +21,6 @@ class VariationSpec:
         self.tuple = g
         self.generators = tuple(generators)  # (name, BraidWord, Matrix)
 
-    def names(self):
-        return [name for name, _, _ in self.generators]
-
 
 class MonodromyRep:
     __slots__ = ("wspace", "images")
@@ -39,18 +36,21 @@ class MonodromyRep:
         raise UnknownGenerator("no generator named %r" % name)
 
 
+def _first_mismatch(moved, conj):
+    """First 1-based index where moved (g^beta) and conj (chi g chi^-1)
+    differ, or None when the generator is compatible."""
+    for i, (a, b) in enumerate(zip(moved.mats, conj.mats)):
+        if a != b:
+            return i + 1
+    return None
+
+
 def check_compatibility(spec):
     """Per-generator report: (name, ok, first failing tuple index or None)."""
     g = spec.tuple
     report = []
     for name, beta, chi in spec.generators:
-        moved = act_on_tuple(g, beta)
-        conj = g.conjugated(chi)
-        bad = None
-        for i in range(g.r):
-            if moved.mats[i] != conj.mats[i]:
-                bad = i + 1
-                break
+        bad = _first_mismatch(act_on_tuple(g, beta), g.conjugated(chi))
         report.append((name, bad is None, bad))
     return report
 
@@ -66,7 +66,7 @@ def monodromy_generators(spec):
     maps, bad = [], []
     for name, beta, chi in spec.generators:
         ph, ps = phi_on_H(g, beta), psi(g, chi)
-        if ph.codomain_tuple != ps.domain_tuple:
+        if _first_mismatch(ph.codomain_tuple, ps.domain_tuple) is not None:
             bad.append(name)
         else:
             maps.append((name, ph.compose(ps)))
@@ -84,8 +84,6 @@ def eta(spec, word):
     first (row vectors act from the left).
     """
     rep = monodromy_generators(spec)
-    if not word.split():
-        return Matrix.identity(spec.tuple.field, rep.wspace.dim)
     total = None
     for tok in word.split():
         name, power = tok, 1

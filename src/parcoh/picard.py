@@ -168,6 +168,14 @@ def first_matrix_diff(got, want):
     return None
 
 
+def _matrix_check(label, got, want):
+    """(label, ok, detail) for one computed matrix against its golden value."""
+    diff = first_matrix_diff(got, want)
+    if diff is None:
+        return (label, True, None)
+    return (label, False, "entry (%d,%d): got %s, expected %s" % diff)
+
+
 def golden_report():
     """Compare everything against the embedded golden values.
 
@@ -176,27 +184,13 @@ def golden_report():
     """
     checks = []
 
-    got_ms = computed_matrices_published_basis()
-    want_ms = published_matrices()
-    for k, (got, want) in enumerate(zip(got_ms, want_ms)):
-        diff = first_matrix_diff(got, want)
-        if diff is None:
-            checks.append(("matrix %s" % GENERATOR_NAMES[k], True, None))
-        else:
-            i, j, ge, we = diff
-            checks.append(("matrix %s" % GENERATOR_NAMES[k], False,
-                           "entry (%d,%d): got %s, expected %s"
-                           % (i, j, ge, we)))
-
-    got_g = computed_gram_published_basis()
-    want_g = published_gram()
-    diff = first_matrix_diff(got_g, want_g)
-    if diff is None:
-        checks.append(("hermitian gram", True, None))
-    else:
-        i, j, ge, we = diff
-        checks.append(("hermitian gram", False,
-                       "entry (%d,%d): got %s, expected %s" % (i, j, ge, we)))
+    for name, got, want in zip(GENERATOR_NAMES,
+                               computed_matrices_published_basis(),
+                               published_matrices()):
+        checks.append(_matrix_check("matrix %s" % name, got, want))
+    checks.append(_matrix_check("hermitian gram",
+                                computed_gram_published_basis(),
+                                published_gram()))
 
     sigs = golden_signatures()
     for label, want in (("picard", (1, 2)), ("conjugate", (2, 1))):

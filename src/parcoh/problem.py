@@ -26,12 +26,10 @@ import json
 
 from .braid import parse_braid
 from .cyclo import format_element, parse_element, CycloField
-from .duality import SesquiData
+from .duality import _FORM_KINDS, SesquiData
 from .errors import LiteralSyntaxError, ProblemFileError
 from .linalg import Matrix
 from .tuples import validate_tuple
-
-_FORM_KINDS = ("hermitian", "bilinear-symmetric", "bilinear-alternating")
 
 
 def matrix_from_json(field, data, rows, cols, where):

@@ -47,8 +47,11 @@ class MatTuple:
         return out
 
     def conjugated(self, h):
-        """The tuple (h*g_1*h^-1, ..., h*g_r*h^-1)."""
-        hinv = h.inverse()
+        """The tuple (h*g_1*h^-1, ..., h*g_r*h^-1); h must be invertible."""
+        try:
+            hinv = h.inverse()
+        except NotInvertible:
+            raise NotInvertible("conjugating matrix is singular")
         return MatTuple(self.field, self.dim,
                         [h * g * hinv for g in self.mats])
 
@@ -113,18 +116,18 @@ def h_space(g):
     return Subspace.from_rows(g.field, g.r * g.dim, rows)
 
 
+def _coboundary_matrix(g):
+    """The d x (r*d) matrix D = [g_1 - 1 | ... | g_r - 1]."""
+    ident = Matrix.identity(g.field, g.dim)
+    diffs = [m - ident for m in g.mats]
+    return Matrix.from_rows(g.field, [[x for m in diffs for x in m.row(a)]
+                                      for a in range(g.dim)])
+
+
 def e_space(g):
     """Coboundaries: the image of v -> (v(g_1 - 1), ..., v(g_r - 1))."""
-    d, r = g.dim, g.r
-    ident = Matrix.identity(g.field, d)
-    diffs = [m - ident for m in g.mats]
-    rows = []
-    for a in range(d):
-        row = []
-        for m in diffs:
-            row.extend(m.row(a))
-        rows.append(tuple(row))
-    return Subspace.from_rows(g.field, r * d, rows)
+    return Subspace.from_rows(g.field, g.r * g.dim,
+                              _coboundary_matrix(g).row_list())
 
 
 class WSpace:
@@ -161,14 +164,4 @@ def dual_tuple(g):
 
 def common_fixed_space(g):
     """The intersection of the kernels of g_i - 1 (this is H^0)."""
-    d = g.dim
-    ident = Matrix.identity(g.field, d)
-    cols = []
-    for i in range(d):
-        row = []
-        for m in g.mats:
-            diff = m - ident
-            row.extend(diff.row(i))
-        cols.append(tuple(row))
-    stacked = Matrix.from_rows(g.field, cols)
-    return kernel_left(stacked)
+    return kernel_left(_coboundary_matrix(g))

@@ -9,10 +9,13 @@ import pytest
 
 from helpers import rand_braid, rand_h_elem, rand_invertible, rand_tuple
 from oracles import phi_dense_oracle
-from parcoh.braid import (MAX_LETTERS, BraidWord, act_on_tuple, induced_on_W,
-                          parse_braid, phi_on_H, psi)
+from parcoh import picard
+from parcoh.braid import (MAX_LETTERS, BraidWord, ChainMap, act_on_tuple,
+                          induced_on_W, parse_braid, phi_on_H, psi)
 from parcoh.cyclo import CycloField
-from parcoh.errors import BraidSyntaxError, IndexOutOfRange, StrandMismatch
+from parcoh.errors import (BraidSyntaxError, DoesNotPreserveE, IndexOutOfRange,
+                           NotInvertible, StrandMismatch)
+from parcoh.linalg import Matrix, vec_mat
 from parcoh.tuples import h_space, w_space
 
 
@@ -209,6 +212,16 @@ def test_psi_is_blockwise_multiplication():
         assert list(image) == expect
 
 
+def test_psi_rejects_a_singular_or_non_square_twist():
+    g = picard.picard_tuple()
+    F = g.field
+    for h in (Matrix.from_rows(F, [[F.zero()]]),
+              Matrix.from_rows(F, [[F.one(), F.zero()]])):
+        with pytest.raises(NotInvertible,
+                           match="^conjugating matrix is singular$"):
+            psi(g, h)
+
+
 def test_psi_composition_order():
     rng = random.Random(409)
     F = CycloField(3)
@@ -249,6 +262,34 @@ def test_induced_on_W_is_invertible_and_respects_E():
         chain = phi_on_H(g, beta)
         m = induced_on_W(chain, ws, ws)
         assert m.is_invertible()
+
+
+def test_induced_on_W_rejects_a_map_that_leaves_H():
+    """diag(1, 0, ..., 0) sends the first H basis vector of the golden
+    tuple to a multiple of e_1, which breaks the cocycle relation."""
+    g = picard.picard_tuple()
+    ws = w_space(g)
+    F, n = g.field, g.r * g.dim
+    zero, one = F.zero(), F.one()
+    M = Matrix.from_rows(F, [[one if i == j == 0 else zero for j in range(n)]
+                             for i in range(n)])
+    assert not ws.H.contains(vec_mat(ws.H.basis[0], M))
+    with pytest.raises(DoesNotPreserveE, match="leaves H"):
+        induced_on_W(ChainMap(g, g, M), ws, ws)
+
+
+def test_induced_on_W_rejects_a_map_that_keeps_H_but_leaves_E():
+    """Every row of M is one h in H but not in E: v -> (sum of v) * h keeps
+    H inside H, and sends the E basis vector, whose entries do not sum to
+    zero, to a nonzero multiple of h, outside E."""
+    g = picard.picard_tuple()
+    ws = w_space(g)
+    h = next(v for v in ws.H.basis if not ws.E.contains(v))
+    M = Matrix.from_rows(g.field, [h] * (g.r * g.dim))
+    (e,) = ws.E.basis
+    assert sum(e[1:], e[0])
+    with pytest.raises(DoesNotPreserveE, match="leaves E"):
+        induced_on_W(ChainMap(g, g, M), ws, ws)
 
 
 _UNDER_O = """

@@ -192,6 +192,7 @@ def test_singular_chi_exits_2(command, tmp_path, capsys):
     code, _, err = _run([command, str(path)], capsys)
     assert code == 2
     assert "singular" in err
+    assert err == "error: conjugating matrix is singular\n"
     assert "Traceback" not in err
 
 

@@ -51,6 +51,10 @@ def test_singular_matrix_detected():
     assert not m.is_invertible()
     with pytest.raises(NotInvertible):
         m.inverse()
+    wide = Matrix.from_rows(F, [[F.one(), F.zero()]])
+    assert not wide.is_invertible()
+    with pytest.raises(NotInvertible):
+        wide.inverse()
 
 
 def test_solve_row_finds_solutions():

@@ -45,13 +45,23 @@ def test_every_incompatible_generator_is_named_in_spec_order(monkeypatch):
     b = Matrix.from_rows(F, [[one, zero], [z, one]])
     c = (a * b).inverse()
     ident = Matrix.identity(F, 2)
-    spec = VariationSpec(MatTuple(F, 2, [a, b, c]), [
+    g = MatTuple(F, 2, [a, b, c])
+    # the full twist b1^2 conjugates g_1, g_2 by g_3^-1 = g_1 g_2, so its
+    # chi is g_3; the identity and g_3^-1 are wrong twists for it
+    twist = parse_braid("b1^2", 2)
+    assert check_compatibility(VariationSpec(g, [("t", twist, ident)])) == \
+        [("t", False, 1)]
+    spec = VariationSpec(g, [
         ("fixed", parse_braid("", 2), ident),
         ("later", parse_braid("b1^-1", 2), ident),
+        ("twist", twist, c),
         ("still", parse_braid("b1 b1^-1", 2), ident),
+        ("wrongchi", twist, c.inverse()),
         ("earlier", parse_braid("b1", 2), ident)])
-    assert [ok for _, ok, _ in check_compatibility(spec)] == \
-        [True, False, True, False]
+    report = check_compatibility(spec)
+    assert [ok for _, ok, _ in report] == \
+        [True, False, True, True, False, False]
+    bad = [name for name, ok, _ in report if not ok]
 
     def no_w_space(g):
         raise AssertionError("W built for an incompatible spec")
@@ -59,7 +69,9 @@ def test_every_incompatible_generator_is_named_in_spec_order(monkeypatch):
     monkeypatch.setattr(monodromy, "w_space", no_w_space)
     with pytest.raises(IncompatibleSpec) as err:
         monodromy_generators(spec)
-    assert str(err.value) == "compatibility fails for: later, earlier"
+    assert str(err.value) == \
+        "compatibility fails for: later, wrongchi, earlier"
+    assert str(err.value) == "compatibility fails for: " + ", ".join(bad)
 
 
 def _full_twist(strands, exp):

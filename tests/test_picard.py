@@ -156,6 +156,27 @@ def test_golden_report_is_clean():
         assert passed, "%s: %s" % (label, detail)
 
 
+def test_golden_report_names_the_first_wrong_entry(monkeypatch):
+    """A changed published matrix and Gram each fail with one diff line."""
+    mats = list(picard.published_matrices())
+    m = mats[1]
+    mats[1] = Matrix(m.field, 3, 3,
+                     m.entries[:5] + (m[1, 2] + 1,) + m.entries[6:])
+    G = picard.published_gram()
+    wrong_gram = Matrix(G.field, 3, 3, (G[0, 0] * 2,) + G.entries[1:])
+    monkeypatch.setattr(picard, "published_matrices", lambda: tuple(mats))
+    monkeypatch.setattr(picard, "published_gram", lambda: wrong_gram)
+    ok, checks = picard.golden_report()
+    assert not ok
+    failed = [(label, detail) for label, passed, detail in checks
+              if not passed]
+    assert failed == [
+        ("matrix gamma2", "entry (2,3): got %s, expected %s"
+         % (m[1, 2], m[1, 2] + 1)),
+        ("hermitian gram", "entry (1,1): got %s, expected %s"
+         % (G[0, 0], G[0, 0] * 2))]
+
+
 def test_class_basis_matrices_are_conjugate_to_published():
     """Traces and reflection ranks agree between the two printed bases."""
     from parcoh.linalg import kernel_left
