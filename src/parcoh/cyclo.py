@@ -1,75 +1,57 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(n)-1) with
-rational coefficients, eagerly reduced mod the n-th cyclotomic
-polynomial, so equality and the zero test are exact coefficient
-comparisons.  n = 1 gives plain Q.
+An element is a tuple num of phi(n) Python ints, its coordinates in the
+power basis 1, z, ..., z^(phi(n)-1), over one positive int den, as in
+FLINT/Antic's nf_elem (W. Hart, "ANTIC: Algebraic Number Theory in C",
+2015).  It is kept canonical: gcd(den, *num) = 1, and zero is (0, ..., 0)
+over 1, so equality and the zero test are tuple comparisons.  n = 1
+gives plain Q.
+
+A product is the integer convolution of the numerators; the coefficient
+of each z^k with deg <= k <= 2*deg - 2 is folded back with an integer
+table of z^k mod Phi_n built once per field.  Phi_n is monic with integer
+coefficients, so the fold divides nothing, and a product costs O(phi(n)^2)
+int operations and one gcd.  The inverse runs the extended Euclidean
+algorithm against Phi_n on integer polynomials (pseudo-division, with the
+common content of each remainder and its cofactor divided out): O(phi(n)^2)
+int operations on integers whose size grows at most linearly with phi(n).
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 
-from .errors import FieldMismatch, NoEmbedding, NotReal, LiteralSyntaxError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction, coefficient lists low degree first
+from .errors import (FieldInvariantError, FieldMismatch, NoEmbedding, NotReal,
+                     LiteralSyntaxError)
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# Phi_d as int tuples, low degree first
+_CYCLOTOMIC = {1: (-1, 1)}
 
 
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else _ZERO) - (q[i] if i < len(q) else _ZERO)
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, q):
-    """Quotient and remainder of p by q (q nonzero, exact division over Q)."""
-    p = _poly_trim(list(p))
-    dq = len(q) - 1
-    lead = q[-1]
-    quot = [_ZERO] * max(len(p) - dq, 0)
-    while p and len(p) - 1 >= dq:
-        c = p[-1] / lead
-        k = len(p) - 1 - dq
-        quot[k] = c
-        for i in range(len(q)):
-            p[k + i] -= c * q[i]
-        _poly_trim(p)
-    return _poly_trim(quot), p
-
-
-def _cyclotomic(n, cache={1: [Fraction(-1), _ONE]}):
-    """Coefficients of Phi_n, by dividing x^n - 1 by all lower Phi_d, d | n."""
-    if n in cache:
-        return cache[n]
-    p = [_ZERO] * (n + 1)
-    p[0], p[n] = Fraction(-1), _ONE
+def _cyclotomic(n):
+    """Coefficients of Phi_n: x^n - 1 divided exactly by every Phi_d, d | n,
+    d < n.  Each Phi_d is monic, so the long division stays in Z."""
+    if n in _CYCLOTOMIC:
+        return _CYCLOTOMIC[n]
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            p, rem = _poly_divmod(p, _cyclotomic(d))
-            assert not rem
-    cache[n] = p
+            q = _cyclotomic(d)
+            dq = len(q) - 1
+            quot = [0] * (len(p) - dq)
+            for k in range(len(quot) - 1, -1, -1):
+                c = p[k + dq]
+                if c:
+                    quot[k] = c
+                    for i, qi in enumerate(q):
+                        if qi:
+                            p[k + i] -= c * qi
+            if any(p[:dq]):
+                raise FieldInvariantError(
+                    "dividing x^%d - 1 by Phi_%d leaves a remainder" % (n, d))
+            p = quot
+    _CYCLOTOMIC[n] = p = tuple(p)
     return p
 
 
@@ -88,10 +70,74 @@ def _euler_phi(n):
     return out
 
 
+def _canonical(field, num, den):
+    """The element num/den with den > 0, divided by gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycloElem(field, tuple(num), den)
+
+
+def _power_sum(field, num, step):
+    """Int coordinates in field of sum_k num[k] * zeta^(step*k)."""
+    out = [0] * field.degree
+    for k, c in enumerate(num):
+        if c:
+            for i, p in enumerate(field._power(step * k)):
+                if p:
+                    out[i] += c * p
+    return out
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _half_gcdex(a, m):
+    """(s, c) with s*a = c mod m, c a nonzero int, for integer polynomials
+    a and m, m irreducible of higher degree than a.
+
+    The extended Euclidean algorithm on pseudo-remainders: each step makes
+    r0 <- u*r0 - v*z^k*r1 and s0 <- u*s0 - v*z^k*s1, keeping s_i*a = r_i
+    mod m, then divides the pair (r0, s0) by its common content.
+    """
+    r0, r1 = list(m), _trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead, n1 = r1[-1], len(r1)
+        while len(r0) >= n1:
+            c = r0[-1]
+            g = gcd(lead, c)
+            u, v = lead // g, c // g
+            if u != 1:
+                r0 = [u * x for x in r0]
+                s0 = [u * x for x in s0]
+            k = len(r0) - n1
+            for i, y in enumerate(r1, k):
+                r0[i] -= v * y
+            if len(s0) < len(s1) + k:
+                s0 += [0] * (len(s1) + k - len(s0))
+            for i, y in enumerate(s1, k):
+                s0[i] -= v * y
+            _trim(r0)
+        g = gcd(*r0, *s0)
+        if g > 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        raise FieldInvariantError("element shares a factor with the modulus")
+    return s1, r1[0]
+
+
 class CycloField:
     """The field Q(zeta_n), a value object keyed by n."""
 
-    __slots__ = ("n", "degree", "modulus", "_powers")
+    __slots__ = ("n", "degree", "modulus", "_powers", "_fold", "_zeros")
 
     _instances = {}
 
@@ -102,10 +148,20 @@ class CycloField:
             return cls._instances[n]
         self = object.__new__(cls)
         self.n = n
-        self.modulus = tuple(_cyclotomic(n))
-        self.degree = len(self.modulus) - 1
-        assert self.degree == _euler_phi(n)
-        self._powers = [None] * n  # z^k reduced, filled lazily
+        self.modulus = _cyclotomic(n)
+        self.degree = deg = len(self.modulus) - 1
+        if deg != _euler_phi(n):
+            raise FieldInvariantError("Phi_%d has degree %d, not phi(%d)"
+                                      % (n, deg, n))
+        self._zeros = (0,) * deg
+        # z^k reduced mod Phi_n, filled lazily past the power basis
+        self._powers = [None] * n
+        for k in range(deg):
+            self._powers[k] = self._zeros[:k] + (1,) + self._zeros[k + 1:]
+        # the nonzero (i, c) of z^k mod Phi_n, for deg <= k <= 2*deg - 2
+        self._fold = tuple(
+            tuple((i, c) for i, c in enumerate(self._power(k)) if c)
+            for k in range(deg, 2 * deg - 1))
         cls._instances[n] = self
         return self
 
@@ -119,58 +175,66 @@ class CycloField:
         return hash(("CycloField", self.n))
 
     def _power(self, k):
-        """Coefficients of z^k mod Phi_n, for 0 <= k < n."""
+        """Int coefficients of z^k mod Phi_n, for any integer k."""
         k %= self.n
-        if self._powers[k] is None:
-            if k < self.degree:
-                c = [_ZERO] * self.degree
-                c[k] = _ONE
-                self._powers[k] = tuple(c)
-            else:
-                prev = list(self._power(k - 1))
-                shifted = [_ZERO] + prev
-                if len(shifted) > self.degree:
-                    top = shifted.pop()
-                    if top:
-                        for i in range(self.degree):
-                            shifted[i] -= top * self.modulus[i]
-                self._powers[k] = tuple(shifted)
-        return self._powers[k]
+        powers = self._powers
+        if powers[k] is None:
+            j = k - 1
+            while powers[j] is None:
+                j -= 1
+            cur = list(powers[j])
+            low = self.modulus[:-1]
+            for m in range(j + 1, k + 1):
+                top = cur.pop()
+                cur.insert(0, 0)
+                if top:
+                    for i, c in enumerate(low):
+                        if c:
+                            cur[i] -= top * c
+                powers[m] = tuple(cur)
+        return powers[k]
 
     def element(self, coeffs):
+        """sum_k coeffs[k] z^k, for a list of rationals of any length."""
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            _, rem = _poly_divmod(coeffs, list(self.modulus))
-            coeffs = rem
-        coeffs += [_ZERO] * (self.degree - len(coeffs))
-        return CycloElem(self, tuple(coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _canonical(self, _power_sum(self, num, 1), den)
 
     def zero(self):
-        return self.element([])
+        return CycloElem(self, self._zeros, 1)
 
     def one(self):
-        return self.element([_ONE])
+        return CycloElem(self, self._powers[0], 1)
 
     def from_rational(self, q):
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return CycloElem(self, (q.numerator,) + self._zeros[1:],
+                         q.denominator)
 
     def zeta(self, k=1):
         """The root of unity zeta_n^k."""
-        return CycloElem(self, self._power(k))
+        return CycloElem(self, self._power(k), 1)
 
 
 class CycloElem:
-    """An element of Q(zeta_n) in reduced power-basis form."""
+    """num/den in Q(zeta_n), canonical: den > 0, gcd(den, *num) = 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, num, den):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _other(self, x):
         if isinstance(x, CycloElem):
-            if x.field != self.field:
+            if x.field is not self.field and x.field != self.field:
                 raise FieldMismatch(
                     "mixing Q(zeta_%d) and Q(zeta_%d); coerce explicitly"
                     % (self.field.n, x.field.n))
@@ -179,21 +243,28 @@ class CycloElem:
             return self.field.from_rational(x)
         return None
 
-    def __add__(self, x):
+    def _add_or_sub(self, x, op):
         x = self._other(x)
         if x is None:
             return NotImplemented
-        return CycloElem(self.field,
-                         tuple(a + b for a, b in zip(self.coeffs, x.coeffs)))
+        d1, d2 = self.den, x.den
+        if d1 == d2:
+            num = tuple(map(op, self.num, x.num))
+            if d1 == 1:
+                return CycloElem(self.field, num, 1)
+            return _canonical(self.field, num, d1)
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        return _canonical(self.field, [op(a * m1, b * m2) for a, b in
+                                       zip(self.num, x.num)], d1 * m1)
+
+    def __add__(self, x):
+        return self._add_or_sub(x, add)
 
     __radd__ = __add__
 
     def __sub__(self, x):
-        x = self._other(x)
-        if x is None:
-            return NotImplemented
-        return CycloElem(self.field,
-                         tuple(a - b for a, b in zip(self.coeffs, x.coeffs)))
+        return self._add_or_sub(x, sub)
 
     def __rsub__(self, x):
         x = self._other(x)
@@ -202,17 +273,27 @@ class CycloElem:
         return x - self
 
     def __neg__(self):
-        return CycloElem(self.field, tuple(-a for a in self.coeffs))
+        return CycloElem(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, x):
         x = self._other(x)
         if x is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(x.coeffs))
-        if len(prod) >= len(self.coeffs):
-            _, prod = _poly_divmod(prod, list(self.field.modulus))
-        prod += [_ZERO] * (self.field.degree - len(prod))
-        return CycloElem(self.field, tuple(prod))
+        f = self.field
+        deg = f.degree
+        prod = [0] * (2 * deg - 1)
+        b = x.num
+        for i, a in enumerate(self.num):
+            if a:
+                for j, c in enumerate(b, i):
+                    if c:
+                        prod[j] += a * c
+        out = prod[:deg]
+        for row, c in zip(f._fold, prod[deg:]):
+            if c:
+                for i, t in row:
+                    out[i] += c * t
+        return _canonical(f, out, self.den * x.den)
 
     __rmul__ = __mul__
 
@@ -245,42 +326,45 @@ class CycloElem:
             x = self.field.from_rational(x)
         if not isinstance(x, CycloElem):
             return NotImplemented
-        return self.field == x.field and self.coeffs == x.coeffs
+        return self.num == x.num and self.den == x.den and \
+            self.field == x.field
 
     def __hash__(self):
         # a rational element equals that int or Fraction, so hashes like it
-        c = self.coeffs
-        if not any(c[1:]):
-            return hash(c[0])
-        return hash((self.field, c))
+        num = self.num
+        if not any(num[1:]):
+            return hash(Fraction(num[0], self.den) if self.den > 1 else num[0])
+        return hash((self.field, num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def inverse(self):
-        """1/self via extended Euclid against the (irreducible) modulus."""
-        if not self:
-            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.field.n)
-        # invariant: s_i * self = r_i  (mod Phi_n)
-        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert r1, "modulus not coprime to a nonzero element"
-        c = r1[0]
-        return self.field.element([a / c for a in s1])
+        """1/self: s*num = c mod Phi_n from the integer Euclid, so
+        1/self = den*s/c."""
+        f = self.field
+        num = self.num
+        if not any(num):
+            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % f.n)
+        s, c = _half_gcdex(num, f.modulus)
+        if c < 0:
+            s, c = [-a for a in s], -c
+        out = [self.den * a for a in s]
+        return _canonical(f, out + [0] * (f.degree - len(out)), c)
+
+    def _galois(self, target, step):
+        """The image in target under zeta_n -> zeta_N^step.
+
+        It maps Z[zeta_n] into Z[zeta_N], and Z[zeta_N] meets the image of
+        Q(zeta_n) in the image of Z[zeta_n] alone, so an int divides the
+        image of num only if it divides num: the image stays canonical.
+        """
+        return CycloElem(target, tuple(_power_sum(target, self.num, step)),
+                         self.den)
 
     def conjugate(self):
         """Image under zeta -> zeta^(n-1), complex conjugation."""
-        f = self.field
-        out = [_ZERO] * f.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, p in enumerate(f._power((-k) % f.n)):
-                    out[i] += c * p
-        return CycloElem(f, tuple(out))
+        return self._galois(self.field, -1)
 
     def coerce(self, target):
         """Embed into Q(zeta_N) via zeta_n -> zeta_N^(N/n); needs n | N."""
@@ -290,13 +374,7 @@ class CycloElem:
         if target.n % f.n != 0:
             raise NoEmbedding("no embedding of Q(zeta_%d) into Q(zeta_%d)"
                               % (f.n, target.n))
-        step = target.n // f.n
-        out = [_ZERO] * target.degree
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, p in enumerate(target._power(step * k)):
-                    out[i] += c * p
-        return CycloElem(target, tuple(out))
+        return self._galois(target, target.n // f.n)
 
     def is_real(self):
         return self.conjugate() == self
@@ -304,9 +382,9 @@ class CycloElem:
     def sign(self):
         """Sign of a real element under the embedding zeta_n = exp(2*pi*i/n).
 
-        Zero is decided symbolically; otherwise the embedding is evaluated
-        with outward-rounded interval arithmetic at doubling precision until
-        the interval misses 0.
+        Zero is decided symbolically; otherwise the embedding of num (den
+        is positive) is evaluated with outward-rounded interval arithmetic
+        at doubling precision until the interval misses 0.
         """
         if not self.is_real():
             raise NotReal("element is not fixed by conjugation: %s" % self)
@@ -319,10 +397,9 @@ class CycloElem:
             ctx.prec = prec
             total = ctx.zero
             two_pi = 2 * ctx.pi
-            for k, c in enumerate(self.coeffs):
+            for k, c in enumerate(self.num):
                 if c:
-                    coeff = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-                    total += coeff * ctx.cos(two_pi * k / self.field.n)
+                    total += ctx.mpf(c) * ctx.cos(two_pi * k / self.field.n)
             if total > 0:
                 return 1
             if total < 0:

@@ -27,6 +27,10 @@ class LiteralSyntaxError(ParcohError):
     pass
 
 
+class FieldInvariantError(ParcohError):
+    """Phi_n or an element broke an invariant the arithmetic rests on."""
+
+
 # linear algebra
 
 class NotASubspace(ParcohError):

@@ -25,11 +25,16 @@ eigenvalues zeta_n^k with multiplicity, for the signature formula.
 import json
 
 from .braid import parse_braid
-from .cyclo import format_element, parse_element, CycloField
+from .cyclo import _euler_phi, format_element, parse_element, CycloField
 from .duality import _FORM_KINDS, SesquiData
 from .errors import LiteralSyntaxError, ProblemFileError
 from .linalg import Matrix
 from .tuples import validate_tuple
+
+# Largest degree phi(n) of the field of a problem file.  A product or an
+# inverse in Q(zeta_n) costs O(phi(n)^2) int operations, and the Hermitian
+# Gram works in Q(zeta_lcm(n, 4)), of degree up to 2*phi(n).
+MAX_FIELD_DEGREE = 128
 
 
 def matrix_from_json(field, data, rows, cols, where):
@@ -105,6 +110,11 @@ def parse_problem(doc):
     n = fld["cyclotomic_order"]
     if not _is_int(n) or n < 1:
         raise ProblemFileError("cyclotomic_order must be a positive integer")
+    # phi(n) >= sqrt(n/2) for every n, so the first test turns away only
+    # orders the second would, before phi is factored out of a huge n
+    if n > 2 * MAX_FIELD_DEGREE ** 2 or _euler_phi(n) > MAX_FIELD_DEGREE:
+        raise ProblemFileError("cyclotomic_order %d: Q(zeta_%d) has degree "
+                               "above %d" % (n, n, MAX_FIELD_DEGREE))
     field = CycloField(n)
     d = doc["dimension"]
     if not _is_int(d) or d < 1:

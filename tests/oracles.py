@@ -5,8 +5,13 @@ check: the cup oracle accumulates twisted chains instead of the rolling
 T-sum, the signature oracle counts numerical eigenvalue signs of the
 complex embedding instead of doing exact congruence reduction, and the
 Phi oracle multiplies dense (r d) x (r d) letter matrices instead of
-updating two block columns per letter.
+updating two block columns per letter, and the field oracles multiply and
+invert with Fraction polynomials (schoolbook product reduced by long
+division, extended Euclid over Q) instead of integer numerators over one
+denominator.
 """
+
+from fractions import Fraction
 
 import mpmath
 
@@ -121,3 +126,66 @@ def phi_dense_oracle(g, beta):
             step = _phi_letter_matrix(mats, d, i).inverse()
         total = total * step
     return total, mats
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic field arithmetic on Fraction coefficient lists, low degree first
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _poly_trim(out)
+
+
+def _poly_sub(p, q):
+    p = p + [0] * (len(q) - len(p))
+    q = q + [0] * (len(p) - len(q))
+    return _poly_trim([a - b for a, b in zip(p, q)])
+
+
+def _poly_divmod(p, q):
+    """Quotient and remainder of p by a nonzero q over Q."""
+    p = _poly_trim(list(p))
+    dq = len(q) - 1
+    quot = [Fraction(0)] * max(len(p) - dq, 0)
+    while p and len(p) - 1 >= dq:
+        c = Fraction(p[-1]) / q[-1]
+        k = len(p) - 1 - dq
+        quot[k] = c
+        for i in range(len(q)):
+            p[k + i] -= c * q[i]
+        _poly_trim(p)
+    return _poly_trim(quot), p
+
+
+def _padded(p, deg):
+    return tuple(Fraction(c) for c in p) + (Fraction(0),) * (deg - len(p))
+
+
+def fraction_mul(a, b):
+    """Coefficients of a*b: schoolbook Fraction product mod Phi_n."""
+    _, rem = _poly_divmod(_poly_mul(list(a.coeffs), list(b.coeffs)),
+                          list(a.field.modulus))
+    return _padded(rem, a.field.degree)
+
+
+def fraction_inverse(a):
+    """Coefficients of 1/a: extended Euclid over Q against Phi_n."""
+    # invariant: s_i * a = r_i  (mod Phi_n)
+    r0, r1 = list(a.field.modulus), _poly_trim(list(a.coeffs))
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    c = r1[0]
+    return _padded([x / c for x in s1], a.field.degree)

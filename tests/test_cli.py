@@ -8,6 +8,7 @@ import pytest
 
 from parcoh import cli, picard
 from parcoh.cyclo import format_element
+from parcoh.problem import MAX_FIELD_DEGREE
 
 PICARD = "problems/picard.json"
 CONJUGATE = "problems/picard_conjugate.json"
@@ -210,6 +211,23 @@ def test_huge_braid_power_exits_2_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "letters" in err
+
+
+@pytest.mark.parametrize("n", [30030, 10 ** 18])
+def test_huge_cyclotomic_order_exits_2_fast(tmp_path, capsys, n):
+    doc = {
+        "field": {"cyclotomic_order": n},
+        "dimension": 1,
+        "tuple": [["z"], ["z"], ["z^%d" % (n - 2)]],
+    }
+    path = tmp_path / "huge_order.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = _run(["w-basis", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == ("error: cyclotomic_order %d: Q(zeta_%d) has degree above "
+                   "%d\n" % (n, n, MAX_FIELD_DEGREE))
 
 
 def test_form_not_invariant_exits_4(tmp_path, capsys):

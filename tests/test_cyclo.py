@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -9,11 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rand_element, rand_nonzero
+from oracles import fraction_inverse, fraction_mul
 from parcoh.cyclo import CycloField, format_element, parse_element
 from parcoh.errors import (FieldMismatch, LiteralSyntaxError, NoEmbedding,
                            NotReal)
 
 ORDERS = [1, 3, 4, 5, 8, 12]
+# the fields of the property tests: every order the problem files and the
+# benchmark use, and the fields Q(zeta_lcm(n, 4)) their Hermitian Grams use
+PROPERTY_ORDERS = [1, 3, 4, 5, 7, 8, 12, 20, 28]
 
 
 def test_degree_matches_euler_phi():
@@ -32,6 +37,13 @@ def test_zeta_is_primitive_root():
                 assert (power == F.one()) == (k == n), \
                     "zeta_%d has order dividing %d" % (n, k)
         assert power * z == F.one()
+
+
+def test_modulus_is_sympys_cyclotomic_polynomial():
+    x = sympy.symbols("x")
+    for n in PROPERTY_ORDERS + [9, 15, 30, 255]:
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert CycloField(n).modulus == tuple(int(c) for c in want), n
 
 
 def test_minimal_polynomial_vanishes_at_zeta():
@@ -171,3 +183,103 @@ def test_sign_orders_cosines():
             expected = 0 if 4 * k == n or 4 * k == 3 * n else \
                 (1 if (k / n < 0.25 or k / n > 0.75) else -1)
             assert x.sign() == expected, (n, k)
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer-numerator representation
+
+
+_COEFF = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def _field_and_elements(draw, count):
+    """A field from PROPERTY_ORDERS and count elements of it; a coefficient
+    list may run past the degree, so element() reduces it."""
+    F = CycloField(draw(st.sampled_from(PROPERTY_ORDERS)))
+    coeffs = st.lists(st.one_of(st.just(0), _COEFF), max_size=F.degree + 2)
+    return (F,) + tuple(F.element(draw(coeffs)) for _ in range(count))
+
+
+def _assert_canonical(x, field):
+    assert x.field == field
+    assert len(x.num) == field.degree
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not x:
+        assert x.num == (0,) * field.degree and x.den == 1
+
+
+@given(_field_and_elements(3))
+def test_field_axioms(data):
+    F, a, b, c = data
+    zero, one = F.zero(), F.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a - a == zero and a + (-a) == zero and (a - b) + b == a
+    if a:
+        assert a * a.inverse() == one
+        assert (b / a) * a == b
+        assert a ** -2 == (a * a).inverse()
+
+
+@given(_field_and_elements(2))
+def test_product_and_inverse_match_the_fraction_oracles(data):
+    F, a, b = data
+    assert (a * b).coeffs == fraction_mul(a, b)
+    if a:
+        assert a.inverse().coeffs == fraction_inverse(a)
+
+
+@given(_field_and_elements(2), st.fractions(max_denominator=20))
+def test_every_result_is_canonical(data, q):
+    F, a, b = data
+    big = CycloField(lcm(F.n, 4))
+    results = [a, a + b, a - b, b - a, -a, a * b, a * a, a ** 3,
+               a * q, a + q, q - a, a.conjugate(), F.from_rational(q),
+               F.zero(), F.one(), F.zeta(5), a - a]
+    if a:
+        results += [a.inverse(), b / a, q / a]
+    for x in results:
+        _assert_canonical(x, F)
+    _assert_canonical(a.coerce(big), big)
+
+
+@given(_field_and_elements(2), st.fractions(max_denominator=20))
+def test_equal_elements_hash_equal(data, q):
+    F, a, b = data
+    for x, y in ((a, a + b - b), (a, a.conjugate().conjugate()),
+                 (a * b, b * a), (a, parse_element(str(a), F))):
+        assert x == y and hash(x) == hash(y)
+    if a:
+        # a rational reached through arithmetic hashes like that rational
+        r = a * a.inverse() * q
+        assert r == q and hash(r) == hash(q)
+        if q.denominator == 1:
+            assert hash(r) == hash(int(q))
+
+
+@given(_field_and_elements(2))
+def test_conjugate_and_coerce_are_ring_homomorphisms(data):
+    F, a, b = data
+    for image in (lambda x: x.conjugate(),
+                  lambda x: x.coerce(CycloField(lcm(F.n, 4))),
+                  lambda x: x.coerce(CycloField(3 * F.n))):
+        assert image(a + b) == image(a) + image(b)
+        assert image(a - b) == image(a) - image(b)
+        assert image(a * b) == image(a) * image(b)
+        assert image(F.one()) == image(a).field.one()
+        if a:
+            assert image(a.inverse()) == image(a).inverse()
+    big = CycloField(lcm(F.n, 4))
+    assert a.coerce(big).conjugate() == a.conjugate().coerce(big)
+
+
+@given(_field_and_elements(1))
+def test_format_then_parse_is_the_identity(data):
+    F, a = data
+    assert parse_element(format_element(a), F) == a

@@ -231,9 +231,10 @@ def test_gram_entries_match_the_chain_oracle():
 
 _UNDER_O = """
 from fractions import Fraction
-from parcoh.cyclo import CycloField
+from parcoh import cyclo
+from parcoh.cyclo import CycloElem, CycloField
 from parcoh.duality import SesquiData, gram_on_W, predicted_signature
-from parcoh.errors import FormNotInvariant, NotRootOfUnity
+from parcoh.errors import FieldInvariantError, FormNotInvariant, NotRootOfUnity
 from parcoh.linalg import Matrix
 from parcoh.tuples import MatTuple
 
@@ -261,6 +262,20 @@ try:
     gram_on_W(bad, Unchecked("hermitian", one))
 except FormNotInvariant:
     print("kappa")
+try:  # numerator Phi_3 itself: not coprime to the modulus
+    CycloElem(F, (1, 1, 1), 1).inverse()
+except FieldInvariantError:
+    print("coprime")
+cyclo._CYCLOTOMIC[5] = (2, 1, 1, 1, 1)  # wrong Phi_5, right degree
+try:
+    CycloField(10)
+except FieldInvariantError:
+    print("division")
+cyclo._CYCLOTOMIC[9] = (1, 1)  # a Phi_9 of degree 1, not phi(9) = 6
+try:
+    CycloField(9)
+except FieldInvariantError:
+    print("degree")
 """
 
 
@@ -271,7 +286,8 @@ def test_invariants_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["kind", "exponents", "kappa"]
+    assert out.stdout.split() == ["kind", "exponents", "kappa", "coprime",
+                                  "division", "degree"]
 
 
 def test_cycle_to_cocycle_lands_in_H():

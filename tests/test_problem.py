@@ -6,8 +6,9 @@ import pytest
 
 from parcoh.cyclo import CycloField
 from parcoh.errors import ProblemFileError, ProductNotOne
-from parcoh.problem import (load_problem, matrix_from_json, matrix_to_json,
-                            parse_problem, vector_from_json, vector_to_json)
+from parcoh.problem import (MAX_FIELD_DEGREE, load_problem, matrix_from_json,
+                            matrix_to_json, parse_problem, vector_from_json,
+                            vector_to_json)
 
 
 def _minimal_doc():
@@ -57,6 +58,20 @@ def test_bad_field_and_dimension():
     doc["dimension"] = "two"
     with pytest.raises(ProblemFileError):
         parse_problem(doc)
+
+
+def test_field_degree_cap():
+    # every order the tests and the benchmark use, and the largest degree
+    for n in list(range(1, 29)) + [255, 256]:
+        doc = _minimal_doc()
+        doc["field"] = {"cyclotomic_order": n}
+        doc["tuple"] = [["z"], ["z"], ["z^%d" % ((n - 2) % n)]]
+        assert parse_problem(doc).field.degree <= MAX_FIELD_DEGREE
+    for n in (257, 30030, 2 * MAX_FIELD_DEGREE ** 2 + 1, 10 ** 18):
+        doc = _minimal_doc()
+        doc["field"] = {"cyclotomic_order": n}
+        with pytest.raises(ProblemFileError, match="degree above"):
+            parse_problem(doc)
 
 
 def test_tuple_validation_errors_surface():
