@@ -210,9 +210,10 @@ def psi(g, h):
 def induced_on_W(chain_map, dom, cod):
     """Matrix of the induced map W_dom -> W_cod in the chart bases.
 
-    Verifies that the chain map sends H into H and E into E first.  Each
-    H basis vector is mapped once; the chart representatives are H basis
-    rows, so their images are taken from those.
+    Verifies that the chain map sends H into H (by the codomain's check
+    matrix) and E into E first.  Each H basis vector is mapped once; the
+    chart representatives are H basis rows, so their images are taken
+    from those.
     """
     if dom.tuple != chain_map.domain_tuple:
         raise TupleMismatch("chain map starts at another tuple")
@@ -221,7 +222,7 @@ def induced_on_W(chain_map, dom, cod):
     images = {}
     for v in dom.H.basis:
         image = chain_map.apply(v)
-        if not cod.H.contains(image):
+        if any(vec_mat(image, cod.K)):
             raise DoesNotPreserveE("image of an H basis vector leaves H")
         images[v] = image
     for v in dom.E.basis:

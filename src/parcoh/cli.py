@@ -18,9 +18,9 @@ from .duality import (cup_pairing, gram_on_W, lift_parabolic,
 from .errors import (BraidSyntaxError, DoesNotPreserveE, FormNotInvariant,
                      IncompatibleSpec, LiteralSyntaxError, NonzeroH0,
                      NotASubspace, NotHermitian, NotParabolic, NotRootOfUnity,
-                     ProblemFileError, StrandMismatch, TupleError,
-                     TupleMismatch, UnknownGenerator)
-from .linalg import Matrix, kernel_left, vec_add
+                     ProblemFileError, ShapeMismatch, StrandMismatch,
+                     TupleError, TupleMismatch, UnknownGenerator)
+from .linalg import Matrix, kernel_left, vec_add, vec_mat
 from .monodromy import VariationSpec, check_compatibility, monodromy_generators
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
                       vector_to_json)
@@ -55,10 +55,10 @@ def _basis_coords(ws, basis_vectors):
     for k, v in enumerate(basis_vectors):
         if len(v) != want:
             raise NotASubspace("basis vector %d has wrong length" % (k + 1))
-        if not ws.H.contains(v):
+        if any(vec_mat(v, ws.K)):
             raise NotASubspace(
                 "basis vector %d is not a parabolic cocycle" % (k + 1))
-        rows.append(ws.chart.coords(v))
+        rows.append(ws.chart._coords(v))
     if len(rows) != ws.dim:
         raise NotASubspace("need %d basis classes, got %d"
                            % (ws.dim, len(rows)))
@@ -353,19 +353,20 @@ def cmd_verify(args):
 
 
 def cmd_picard(args):
-    ok, checks = picard_mod.golden_report()
+    values = picard_mod.golden_values()
+    ok, checks = picard_mod._report(values)
     if args.json:
+        matrices, gram, sigs = values
         doc = {
             "ok": ok,
             "checks": [{"name": n, "ok": good, "detail": detail}
                        for n, good, detail in checks],
             "matrices": [
                 {"name": name, "matrix": matrix_to_json(m)}
-                for name, m in zip(picard_mod.GENERATOR_NAMES,
-                                   picard_mod.computed_matrices_published_basis())],
-            "gram": matrix_to_json(picard_mod.computed_gram_published_basis()),
+                for name, m in zip(picard_mod.GENERATOR_NAMES, matrices)],
+            "gram": matrix_to_json(gram),
             "signatures": {k: {kk: list(vv) for kk, vv in v.items()}
-                           for k, v in picard_mod.golden_signatures().items()},
+                           for k, v in sigs.items()},
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -441,7 +442,7 @@ def main(argv=None):
     except (FormNotInvariant, NotHermitian) as e:
         _err(str(e))
         return 4
-    except DoesNotPreserveE as e:
+    except (DoesNotPreserveE, ShapeMismatch) as e:
         _err(str(e))
         return 5
 

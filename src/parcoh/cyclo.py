@@ -28,6 +28,10 @@ from .errors import (FieldInvariantError, FieldMismatch, NoEmbedding, NotReal,
 # Phi_d as int tuples, low degree first
 _CYCLOTOMIC = {1: (-1, 1)}
 
+# mpmath's interval context for sign(), made on the first call; mpmath is
+# imported there so that code which never takes a sign does not load it
+_INTERVALS = None
+
 
 def _cyclotomic(n):
     """Coefficients of Phi_n: x^n - 1 divided exactly by every Phi_d, d | n,
@@ -384,14 +388,18 @@ class CycloElem:
 
         Zero is decided symbolically; otherwise the embedding of num (den
         is positive) is evaluated with outward-rounded interval arithmetic
-        at doubling precision until the interval misses 0.
+        at doubling precision until the interval misses 0.  One interval
+        context serves every call; each evaluation sets its precision.
         """
+        global _INTERVALS
         if not self.is_real():
             raise NotReal("element is not fixed by conjugation: %s" % self)
         if not self:
             return 0
-        import mpmath
-        ctx = mpmath.ctx_iv.MPIntervalContext()
+        if _INTERVALS is None:
+            import mpmath
+            _INTERVALS = mpmath.ctx_iv.MPIntervalContext()
+        ctx = _INTERVALS
         prec = 64
         while prec <= 1 << 22:
             ctx.prec = prec

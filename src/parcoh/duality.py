@@ -22,9 +22,11 @@ x, y -> x*J*conj(y)^T on V.
 On the chart representatives rep_1, ..., rep_w of W_g the Gram matrix
 is therefore one product, G = -i * A * L^T: row k of A is
 chain_row(g*, kappa(rep_k)) and row l of L is lift_row(g, rep_l),
-so the cost is w rows of r lifts each, not w^2 pairings.  g* and H_(g*)
-are built once per Gram, and every kappa image is checked against
-H_(g*).  A bilinear form gives G = A * L^T with kappa(v) = v*J^T.
+so the cost is w rows of r lifts each, not w^2 pairings.  g* and the
+check matrix K_(g*) of H_(g*) (see tuples.h_check) are built once per
+Gram, and every kappa image v is checked by v*K_(g*) = 0; H_(g*) itself
+is never built.  A bilinear form gives G = A * L^T with
+kappa(v) = v*J^T.
 
 The form is conjugate-linear in the first argument and linear in the
 second, so on W coordinates (rows) the value is conj(x)*G*y^T and a
@@ -42,7 +44,7 @@ from .errors import (FormNotInvariant, NonzeroH0, NotHermitian, NotParabolic,
                      NotRootOfUnity, TupleMismatch)
 from .linalg import (Matrix, dot, kernel_left, solve_row, vec_add, vec_conj,
                      vec_mat, vec_sub)
-from .tuples import common_fixed_space, dual_tuple, h_space, w_space
+from .tuples import common_fixed_space, dual_tuple, h_check, w_space
 
 
 def lift_parabolic(g_i, v_i):
@@ -196,14 +198,14 @@ def gram_on_W(g, form):
     ws = w_space(g)
     reps = ws.chart.reps
     gstar = dual_tuple(g)
-    Hstar = h_space(gstar)
+    Kstar = h_check(gstar)
     Jt = J.transpose()
     A = []
     for rep in reps:
         phi = _kappa_image(_blocks(rep, g.r, g.dim), Jt,
                            conj_first=hermitian)
         # kappa of a parabolic cocycle for g must be parabolic for g*
-        if not Hstar.contains(phi):
+        if any(vec_mat(phi, Kstar)):
             raise FormNotInvariant("kappa image of a W representative "
                                    "is not a parabolic cocycle for g*")
         A.append(chain_row(gstar, phi))

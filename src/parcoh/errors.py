@@ -37,6 +37,10 @@ class NotASubspace(ParcohError):
     pass
 
 
+class ShapeMismatch(ParcohError):
+    """Operands of a vector or matrix operation have incompatible sizes."""
+
+
 # tuple validation
 
 class TupleError(ParcohError):

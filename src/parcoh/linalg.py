@@ -8,7 +8,7 @@ loops: _rref_rows (Gauss-Jordan, optionally tracking the transform) and
 _reduce (a vector against echelon rows).
 """
 
-from .errors import NotASubspace, NotInvertible
+from .errors import NotASubspace, NotInvertible, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,9 @@ def vec_is_zero(u):
 
 def dot(u, v):
     """Standard coordinate pairing, no conjugation."""
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ShapeMismatch("dot of vectors of lengths %d and %d"
+                            % (len(u), len(v)))
     total = None
     for a, b in zip(u, v):
         total = a * b if total is None else total + a * b
@@ -61,7 +63,9 @@ def _row_times(v, entries, ncols, zero):
 
 def vec_mat(v, m):
     """v*M for a row vector v of length m.rows."""
-    assert len(v) == m.rows
+    if len(v) != m.rows:
+        raise ShapeMismatch("vector of length %d times a %d x %d matrix"
+                            % (len(v), m.rows, m.cols))
     return tuple(_row_times(v, m.entries, m.cols, m.field.zero()))
 
 
@@ -75,7 +79,9 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, rows, cols, entries):
-        assert len(entries) == rows * cols
+        if len(entries) != rows * cols:
+            raise ShapeMismatch("%d entries for a %d x %d matrix"
+                                % (len(entries), rows, cols))
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -87,7 +93,9 @@ class Matrix:
         c = len(rows[0]) if r else 0
         flat = []
         for row in rows:
-            assert len(row) == c
+            if len(row) != c:
+                raise ShapeMismatch("rows of lengths %d and %d"
+                                    % (c, len(row)))
             flat.extend(row)
         return cls(field, r, c, flat)
 
@@ -127,13 +135,18 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.rows, self.cols, self.entries))
 
+    def _same_shape(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("%d x %d %s %d x %d" % (
+                self.rows, self.cols, op, other.rows, other.cols))
+
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._same_shape(other, "+")
         return Matrix(self.field, self.rows, self.cols,
                       [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._same_shape(other, "-")
         return Matrix(self.field, self.rows, self.cols,
                       [a - b for a, b in zip(self.entries, other.entries)])
 
@@ -143,7 +156,9 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            assert self.cols == other.rows
+            if self.cols != other.rows:
+                raise ShapeMismatch("%d x %d times %d x %d" % (
+                    self.rows, self.cols, other.rows, other.cols))
             k, zero = self.cols, self.field.zero()
             out = []
             for i in range(self.rows):
@@ -177,7 +192,9 @@ class Matrix:
                       [a.coerce(field) for a in self.entries])
 
     def trace(self):
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ShapeMismatch("trace of a %d x %d matrix"
+                                % (self.rows, self.cols))
         t = self.field.zero()
         for i in range(self.rows):
             t = t + self[i, i]
@@ -285,7 +302,9 @@ def solve_row(a, b):
     Deterministic: the system is reduced with fixed pivot order and free
     coordinates of x are set to 0.
     """
-    assert len(b) == a.cols
+    if len(b) != a.cols:
+        raise ShapeMismatch("right side of length %d for %d columns"
+                            % (len(b), a.cols))
     # x*a = b  <=>  a^T x^T = b^T; eliminate on [a^T | b^T]
     n = a.rows
     aug = []

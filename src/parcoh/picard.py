@@ -137,25 +137,42 @@ def computed_matrices_published_basis():
     return tuple(C * m * Cinv for _, m in rep.images)
 
 
-def computed_gram_published_basis():
-    """gram_on_W on the conjugate tuple, base-changed by the printed B."""
-    res = gram_on_W(conjugate_tuple(), hermitian_form())
+def _in_published_basis(res):
+    """The conjugate tuple's Gram result, base-changed by the printed B."""
     B = basis_matrix_B().coerce(res.G.field)
     return B.conj() * res.G * B.transpose()
 
 
+def computed_gram_published_basis():
+    """gram_on_W on the conjugate tuple, base-changed by the printed B."""
+    return _in_published_basis(gram_on_W(conjugate_tuple(), hermitian_form()))
+
+
+def _hermitian_grams():
+    """label -> (tuple, its hermitian gram_on_W) for both characters."""
+    return {label: (g, gram_on_W(g, hermitian_form()))
+            for label, g in (("picard", picard_tuple()),
+                             ("conjugate", conjugate_tuple()))}
+
+
+def _signatures(grams):
+    return {label: {"exact": signature(res).as_pair(),
+                    "predicted": predicted_signature(g)}
+            for label, (g, res) in grams.items()}
+
+
 def golden_signatures():
     """Exact and predicted signatures for both character choices."""
-    out = {}
-    for label, g in (("picard", picard_tuple()),
-                     ("conjugate", conjugate_tuple())):
-        res = gram_on_W(g, SesquiData("hermitian",
-                                      Matrix.identity(g.field, 1)))
-        out[label] = {
-            "exact": signature(res).as_pair(),
-            "predicted": predicted_signature(g),
-        }
-    return out
+    return _signatures(_hermitian_grams())
+
+
+def golden_values():
+    """(matrices, gram, signatures): what computed_matrices_published_basis,
+    computed_gram_published_basis and golden_signatures return, with the
+    conjugate tuple's Gram built once for the last two."""
+    grams = _hermitian_grams()
+    return (computed_matrices_published_basis(),
+            _in_published_basis(grams["conjugate"][1]), _signatures(grams))
 
 
 def first_matrix_diff(got, want):
@@ -182,17 +199,19 @@ def golden_report():
     Returns (ok, checks) where checks is a list of (label, ok, detail);
     detail is None on success and a human-readable string on mismatch.
     """
+    return _report(golden_values())
+
+
+def _report(values):
+    """golden_report for the golden_values() already computed."""
+    matrices, gram, sigs = values
     checks = []
 
-    for name, got, want in zip(GENERATOR_NAMES,
-                               computed_matrices_published_basis(),
+    for name, got, want in zip(GENERATOR_NAMES, matrices,
                                published_matrices()):
         checks.append(_matrix_check("matrix %s" % name, got, want))
-    checks.append(_matrix_check("hermitian gram",
-                                computed_gram_published_basis(),
-                                published_gram()))
+    checks.append(_matrix_check("hermitian gram", gram, published_gram()))
 
-    sigs = golden_signatures()
     for label, want in (("picard", (1, 2)), ("conjugate", (2, 1))):
         got_exact = sigs[label]["exact"]
         got_pred = sigs[label]["predicted"]

@@ -8,14 +8,17 @@ Phi oracle multiplies dense (r d) x (r d) letter matrices instead of
 updating two block columns per letter, and the field oracles multiply and
 invert with Fraction polynomials (schoolbook product reduced by long
 division, extended Euclid over Q) instead of integer numerators over one
-denominator.
+denominator.  The H oracle intersects the direct sum of the block images
+Im(g_i - 1) with the kernel of the cocycle relation instead of taking
+the left kernel of one check matrix.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from parcoh.linalg import Matrix, dot, solve_row, vec_add, vec_mat, vec_sub
+from parcoh.linalg import (Matrix, Subspace, dot, kernel_left, solve_row,
+                           vec_add, vec_mat, vec_sub)
 
 
 def cup_chain_oracle(gstar, g, phi, psi):
@@ -189,3 +192,27 @@ def fraction_inverse(a):
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
     c = r1[0]
     return _padded([x / c for x in s1], a.field.degree)
+
+
+def h_space_oracle(g):
+    """H_g as the span C of the blocks of the Im(g_i - 1), cut down to
+    the x*C whose twisted sum sum_i v_i*g_(i+1)*...*g_r vanishes."""
+    F, d, r = g.field, g.dim, g.r
+    ident = Matrix.identity(F, d)
+    zero = F.zero()
+    rows = []
+    for i, m in enumerate(g.mats):
+        img = Subspace.from_rows(F, d, (m - ident).row_list())
+        for block in img.basis:
+            row = [zero] * (r * d)
+            row[i * d:(i + 1) * d] = block
+            rows.append(tuple(row))
+    c = Subspace.from_rows(F, r * d, rows)
+    if c.dim == 0:
+        return c
+    cmat = Matrix.from_rows(F, list(c.basis))
+    relation = Matrix.from_rows(F, [row for s in g.suffix_products()
+                                    for row in s.row_list()])
+    ker = kernel_left(cmat * relation)
+    return Subspace.from_rows(F, r * d,
+                              [vec_mat(x, cmat) for x in ker.basis])

@@ -8,6 +8,7 @@ import pytest
 
 from parcoh import cli, picard
 from parcoh.cyclo import format_element
+from parcoh.errors import ShapeMismatch
 from parcoh.problem import MAX_FIELD_DEGREE
 
 PICARD = "problems/picard.json"
@@ -294,3 +295,33 @@ def test_artin_relations_cover_every_generator_pair(r):
     assert got == want
     assert all(w.strands == r - 1 and all(e == 1 for _, e in w.letters)
                for pair in rels for w in pair)
+
+
+def test_shape_mismatch_exits_5(monkeypatch, capsys):
+    def broken():
+        raise ShapeMismatch("3 x 1 times 3 x 1")
+
+    monkeypatch.setattr(picard, "golden_values", broken)
+    code, out, err = _run(["picard"], capsys)
+    assert (code, out, err) == (5, "", "error: 3 x 1 times 3 x 1\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_picard_computes_each_golden_object_once(monkeypatch, capsys,
+                                                 as_json):
+    calls = []
+
+    def counted(name):
+        real = getattr(picard, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(picard, name, wrapper)
+
+    for name in ("gram_on_W", "monodromy_generators"):
+        counted(name)
+    code, out, _ = _run(["picard"] + (["--json"] if as_json else []), capsys)
+    assert code == 0
+    assert sorted(calls) == ["gram_on_W", "gram_on_W",
+                             "monodromy_generators"]

@@ -185,6 +185,24 @@ def test_sign_orders_cosines():
             assert x.sign() == expected, (n, k)
 
 
+def test_sign_builds_one_interval_context(monkeypatch):
+    import mpmath
+    from parcoh import cyclo
+    made = []
+    real = mpmath.ctx_iv.MPIntervalContext
+
+    def counting():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(mpmath.ctx_iv, "MPIntervalContext", counting)
+    monkeypatch.setattr(cyclo, "_INTERVALS", None)
+    F = CycloField(28)
+    signs = [(F.zeta(k) + F.zeta(28 - k)).sign() for k in range(1, 28)] * 3
+    assert signs.count(0) == 6 and set(signs) == {-1, 0, 1}
+    assert len(made) == 1
+
+
 # ---------------------------------------------------------------------------
 # properties of the integer-numerator representation
 

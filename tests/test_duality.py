@@ -234,9 +234,10 @@ from fractions import Fraction
 from parcoh import cyclo
 from parcoh.cyclo import CycloElem, CycloField
 from parcoh.duality import SesquiData, gram_on_W, predicted_signature
-from parcoh.errors import FieldInvariantError, FormNotInvariant, NotRootOfUnity
-from parcoh.linalg import Matrix
-from parcoh.tuples import MatTuple
+from parcoh.errors import (FieldInvariantError, FormNotInvariant,
+                           NotRootOfUnity, ShapeMismatch)
+from parcoh.linalg import Matrix, vec_mat
+from parcoh.tuples import MatTuple, h_check
 
 class Unchecked(SesquiData):
     __slots__ = ()
@@ -276,6 +277,15 @@ try:
     CycloField(9)
 except FieldInvariantError:
     print("degree")
+K = h_check(MatTuple(F, 1, [z, z, z]))  # 3 x 1
+try:  # without the length check this multiplies by the first 2 rows
+    vec_mat((F.one(), F.one()), K)
+except ShapeMismatch:
+    print("short")
+try:
+    K * K
+except ShapeMismatch:
+    print("product")
 """
 
 
@@ -287,7 +297,7 @@ def test_invariants_survive_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["kind", "exponents", "kappa", "coprime",
-                                  "division", "degree"]
+                                  "division", "degree", "short", "product"]
 
 
 def test_cycle_to_cocycle_lands_in_H():

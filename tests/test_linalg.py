@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import rand_element, rand_invertible
 from parcoh.cyclo import CycloField
-from parcoh.errors import NotASubspace, NotInvertible
+from parcoh.errors import NotASubspace, NotInvertible, ShapeMismatch
 from parcoh.linalg import (Matrix, Subspace, dot, kernel_left, quotient_chart,
                            solve_row, vec_add, vec_is_zero, vec_mat, vec_scale)
 
@@ -302,3 +302,24 @@ def test_chart_edge_cases():
             c.coords(outside)
     with pytest.raises(NotASubspace):
         quotient_chart(zero_sub, ambient)
+
+
+def test_shape_mismatches_raise():
+    F = CycloField(3)
+    o = F.one()
+    a = Matrix.identity(F, 2)
+    b = Matrix.zero(F, 3, 2)
+    cases = [
+        lambda: dot((o, o), (o,)),
+        lambda: vec_mat((o,), a),
+        lambda: Matrix(F, 2, 2, [o] * 3),
+        lambda: Matrix.from_rows(F, [[o, o], [o]]),
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: b.trace(),
+        lambda: solve_row(a, (o,)),
+    ]
+    for case in cases:
+        with pytest.raises(ShapeMismatch):
+            case()
