@@ -15,11 +15,12 @@ from .braid import BraidWord, phi_on_H
 from .cyclo import format_element
 from .duality import (cup_pairing, gram_on_W, lift_parabolic,
                       predicted_signature, signature)
-from .errors import (BraidSyntaxError, DoesNotPreserveE, FormNotInvariant,
-                     IncompatibleSpec, LiteralSyntaxError, NonzeroH0,
-                     NotASubspace, NotHermitian, NotParabolic, NotRootOfUnity,
-                     ProblemFileError, ShapeMismatch, StrandMismatch,
-                     TupleError, TupleMismatch, UnknownGenerator)
+from .errors import (BraidSyntaxError, DoesNotPreserveE, FieldInvariantError,
+                     FormNotInvariant, IncompatibleSpec, LiteralSyntaxError,
+                     NonzeroH0, NotASubspace, NotHermitian, NotParabolic,
+                     NotRootOfUnity, ProblemFileError, ShapeMismatch,
+                     StrandMismatch, TupleError, TupleMismatch,
+                     UnknownGenerator)
 from .linalg import Matrix, kernel_left, vec_add, vec_mat
 from .monodromy import VariationSpec, check_compatibility, monodromy_generators
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
@@ -442,7 +443,7 @@ def main(argv=None):
     except (FormNotInvariant, NotHermitian) as e:
         _err(str(e))
         return 4
-    except (DoesNotPreserveE, ShapeMismatch) as e:
+    except (DoesNotPreserveE, FieldInvariantError, ShapeMismatch) as e:
         _err(str(e))
         return 5
 

@@ -15,6 +15,14 @@ int operations and one gcd.  The inverse runs the extended Euclidean
 algorithm against Phi_n on integer polynomials (pseudo-division, with the
 common content of each remainder and its cofactor divided out): O(phi(n)^2)
 int operations on integers whose size grows at most linearly with phi(n).
+
+The sign of a nonzero real element is read from integers as well.  Each
+field keeps, per precision p = 64 * 2^level bits, the integer bounds
+lo_k <= 2^p * cos(2*pi*k/n) <= hi_k for k < phi(n): the floor and ceiling
+of the endpoints of mpmath's outward-rounded interval cosine, computed
+once, when an element first needs that level.  The exact sums of num
+against them bracket 2^p times the element's value, so a sign costs
+O(phi(n)) int products per level tried and no float enters it.
 """
 
 from fractions import Fraction
@@ -28,9 +36,14 @@ from .errors import (FieldInvariantError, FieldMismatch, NoEmbedding, NotReal,
 # Phi_d as int tuples, low degree first
 _CYCLOTOMIC = {1: (-1, 1)}
 
-# mpmath's interval context for sign(), made on the first call; mpmath is
-# imported there so that code which never takes a sign does not load it
+# mpmath's interval context for the cosine bounds of sign(), made when the
+# first table is built; mpmath is imported there so that code which never
+# takes a sign does not load it
 _INTERVALS = None
+
+# sign() tries the precisions 64 * 2^level bits for level < _SIGN_LEVELS,
+# up to 2^22 bits
+_SIGN_LEVELS = 17
 
 
 def _cyclotomic(n):
@@ -95,6 +108,28 @@ def _power_sum(field, num, step):
     return out
 
 
+def _cosine_bounds(n, count, prec):
+    """(lo_k, hi_k) with lo_k <= 2^prec * cos(2*pi*k/n) <= hi_k, k < count.
+
+    lo_k and hi_k are the floor and ceiling of 2^prec times the endpoints
+    of mpmath's outward-rounded interval cosine at precision prec.
+    """
+    global _INTERVALS
+    if _INTERVALS is None:
+        import mpmath
+        _INTERVALS = mpmath.ctx_iv.MPIntervalContext()
+    from mpmath.libmp import mpf_shift, to_int
+    ctx = _INTERVALS
+    ctx.prec = prec
+    two_pi = 2 * ctx.pi
+    out = []
+    for k in range(count):
+        a, b = ctx.cos(two_pi * k / n)._mpi_
+        out.append((to_int(mpf_shift(a, prec), "f"),
+                    to_int(mpf_shift(b, prec), "c")))
+    return tuple(out)
+
+
 def _trim(p):
     while p and not p[-1]:
         p.pop()
@@ -141,7 +176,8 @@ def _half_gcdex(a, m):
 class CycloField:
     """The field Q(zeta_n), a value object keyed by n."""
 
-    __slots__ = ("n", "degree", "modulus", "_powers", "_fold", "_zeros")
+    __slots__ = ("n", "degree", "modulus", "_powers", "_fold", "_zeros",
+                 "_cos_bounds")
 
     _instances = {}
 
@@ -166,6 +202,9 @@ class CycloField:
         self._fold = tuple(
             tuple((i, c) for i, c in enumerate(self._power(k)) if c)
             for k in range(deg, 2 * deg - 1))
+        # level j: the _cosine_bounds of z^0..z^(deg-1) at 64 * 2^j bits,
+        # built when an element first needs that level
+        self._cos_bounds = []
         cls._instances[n] = self
         return self
 
@@ -386,34 +425,38 @@ class CycloElem:
     def sign(self):
         """Sign of a real element under the embedding zeta_n = exp(2*pi*i/n).
 
-        Zero is decided symbolically; otherwise the embedding of num (den
-        is positive) is evaluated with outward-rounded interval arithmetic
-        at doubling precision until the interval misses 0.  One interval
-        context serves every call; each evaluation sets its precision.
+        Zero is decided symbolically.  Otherwise, with integer bounds
+        lo_k <= 2^p * cos(2*pi*k/n) <= hi_k (the field's table at
+        precision p), 2^p * num lies between the exact integer sums
+        low = sum_k c_k * (lo_k if c_k > 0 else hi_k) and high =
+        sum_k c_k * (hi_k if c_k > 0 else lo_k); den is positive.  The
+        sign is +1 if low > 0 and -1 if high < 0; otherwise p doubles,
+        from 64 bits, building the next level of the table when first
+        needed.
         """
-        global _INTERVALS
         if not self.is_real():
             raise NotReal("element is not fixed by conjugation: %s" % self)
         if not self:
             return 0
-        if _INTERVALS is None:
-            import mpmath
-            _INTERVALS = mpmath.ctx_iv.MPIntervalContext()
-        ctx = _INTERVALS
-        prec = 64
-        while prec <= 1 << 22:
-            ctx.prec = prec
-            total = ctx.zero
-            two_pi = 2 * ctx.pi
-            for k, c in enumerate(self.num):
-                if c:
-                    total += ctx.mpf(c) * ctx.cos(two_pi * k / self.field.n)
-            if total > 0:
+        f = self.field
+        levels = f._cos_bounds
+        for level in range(_SIGN_LEVELS):
+            if level == len(levels):
+                levels.append(_cosine_bounds(f.n, f.degree, 64 << level))
+            low = high = 0
+            for c, (lo, hi) in zip(self.num, levels[level]):
+                if c > 0:
+                    low += c * lo
+                    high += c * hi
+                elif c < 0:
+                    low += c * hi
+                    high += c * lo
+            if low > 0:
                 return 1
-            if total < 0:
+            if high < 0:
                 return -1
-            prec *= 2
-        raise RuntimeError("interval refinement did not separate %r from 0" % self)
+        raise FieldInvariantError(
+            "interval refinement did not separate %r from 0" % self)
 
     def __repr__(self):
         return format_element(self)

@@ -22,11 +22,12 @@ x, y -> x*J*conj(y)^T on V.
 On the chart representatives rep_1, ..., rep_w of W_g the Gram matrix
 is therefore one product, G = -i * A * L^T: row k of A is
 chain_row(g*, kappa(rep_k)) and row l of L is lift_row(g, rep_l),
-so the cost is w rows of r lifts each, not w^2 pairings.  g* and the
-check matrix K_(g*) of H_(g*) (see tuples.h_check) are built once per
-Gram, and every kappa image v is checked by v*K_(g*) = 0; H_(g*) itself
-is never built.  A bilinear form gives G = A * L^T with
-kappa(v) = v*J^T.
+so the cost is w rows of r lifts each, not w^2 pairings.  g*, the
+check matrix K_(g*) of H_(g*) (see tuples.h_check) and one
+linalg.RowSolver of g_i - 1 per entry (each lift is then one product with
+its tracked transform) are built once per Gram, and every kappa image v
+is checked by v*K_(g*) = 0; H_(g*) itself is never built.  A bilinear
+form gives G = A * L^T with kappa(v) = v*J^T.
 
 The form is conjugate-linear in the first argument and linear in the
 second, so on W coordinates (rows) the value is conj(x)*G*y^T and a
@@ -40,20 +41,29 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclo import CycloField
-from .errors import (FormNotInvariant, NonzeroH0, NotHermitian, NotParabolic,
-                     NotRootOfUnity, TupleMismatch)
-from .linalg import (Matrix, dot, kernel_left, solve_row, vec_add, vec_conj,
+from .errors import (FieldInvariantError, FormNotInvariant, NonzeroH0,
+                     NotHermitian, NotParabolic, NotRootOfUnity, TupleMismatch)
+from .linalg import (Matrix, RowSolver, dot, kernel_left, vec_add, vec_conj,
                      vec_mat, vec_sub)
 from .tuples import common_fixed_space, dual_tuple, h_check, w_space
 
 
-def lift_parabolic(g_i, v_i):
-    """A deterministic v' with v'*(g_i - 1) = v_i; NotParabolic if none."""
-    ident = Matrix.identity(g_i.field, g_i.rows)
-    x = solve_row(g_i - ident, v_i)
+def _lift_solvers(g):
+    """One RowSolver of g_i - 1 per entry of g, for every block it lifts."""
+    ident = Matrix.identity(g.field, g.dim)
+    return [RowSolver(m - ident) for m in g.mats]
+
+
+def _lift(solver, v_i):
+    x = solver.solve(v_i)
     if x is None:
         raise NotParabolic("block is not in the image of g_i - 1")
     return x
+
+
+def lift_parabolic(g_i, v_i):
+    """A deterministic v' with v'*(g_i - 1) = v_i; NotParabolic if none."""
+    return _lift(RowSolver(g_i - Matrix.identity(g_i.field, g_i.rows)), v_i)
 
 
 def _blocks(v, r, d):
@@ -77,9 +87,13 @@ def chain_row(gstar, phi):
 
 def lift_row(g, psi):
     """The psi factor of the cup product: its r lifts, concatenated."""
+    return _lift_row(_lift_solvers(g), psi, g.dim)
+
+
+def _lift_row(solvers, psi, d):
     out = []
-    for m, w in zip(g.mats, _blocks(psi, g.r, g.dim)):
-        out.extend(lift_parabolic(m, w))
+    for solver, w in zip(solvers, _blocks(psi, len(solvers), d)):
+        out.extend(_lift(solver, w))
     return tuple(out)
 
 
@@ -209,7 +223,8 @@ def gram_on_W(g, form):
             raise FormNotInvariant("kappa image of a W representative "
                                    "is not a parabolic cocycle for g*")
         A.append(chain_row(gstar, phi))
-    L = [lift_row(g, rep) for rep in reps]
+    solvers = _lift_solvers(g)
+    L = [_lift_row(solvers, rep, g.dim) for rep in reps]
     G = Matrix.from_rows(g.field, A) * \
         Matrix.from_rows(g.field, L).transpose()
     if hermitian:
@@ -260,10 +275,11 @@ def signature(gram):
 
     def addrow(j, l, c):
         # row_j += c*row_l, then col_j += conj(c)*col_l
-        rows[j] = [x + c * y for x, y in zip(rows[j], rows[l])]
+        rows[j] = [x + c * y if y else x for x, y in zip(rows[j], rows[l])]
         cc = c.conjugate()
-        for x in range(n):
-            rows[x][j] = rows[x][j] + cc * rows[x][l]
+        for row in rows:
+            if row[l]:
+                row[j] = row[j] + cc * row[l]
 
     def swap(j, l):
         rows[j], rows[l] = rows[l], rows[j]
@@ -298,7 +314,8 @@ def signature(gram):
                     swap(k, j)
         piv = rows[k][k]
         s = piv.sign()
-        assert s != 0
+        if s == 0:
+            raise FieldInvariantError("nonzero pivot %s has sign 0" % piv)
         if s > 0:
             p += 1
         else:

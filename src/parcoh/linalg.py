@@ -5,7 +5,17 @@ multiply matrices from the left, v -> v*M.  Pivoting is deterministic
 (first nonzero entry, scanning left to right) so echelon bases and
 quotient charts are reproducible.  All elimination goes through two
 loops: _rref_rows (Gauss-Jordan, optionally tracking the transform) and
-_reduce (a vector against echelon rows).
+_reduce (a vector against echelon rows).  Both skip every term whose
+multiplier entry is zero, which x - c*0 = x makes exact.
+
+For an N x m matrix a, the equations of x*a = b are its m columns.
+kernel_left eliminates them once, with pivots taken from the right, and
+reads the RREF basis of {x : x*a = 0} off the result; RowSolver
+eliminates them once with the transform tracked and then solves for any
+number of right sides b.  Each costs O(m*N*rank) field operations (the
+solver's transform adds O(m^2*rank)), where tracking an N x N identity
+through the rows of a and then putting the kernel rows in RREF cost
+O(N^2*(N+m)).
 """
 
 from .errors import NotASubspace, NotInvertible, ShapeMismatch
@@ -244,7 +254,9 @@ def _rref_rows(rows, track=None):
     """In-place RREF of a list of row lists; returns pivot column list.
 
     If track is given (another list of row lists, same length) the same
-    row operations are applied to it.
+    row operations are applied to it.  Terms whose pivot-row entry is
+    zero are skipped: x - c*0 and 0*inv are exact, so the rows are the
+    same as with every term formed.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -262,16 +274,17 @@ def _rref_rows(rows, track=None):
         if track is not None:
             track[piv], track[hit] = track[hit], track[piv]
         inv = rows[piv][col].inverse()
-        rows[piv] = [x * inv for x in rows[piv]]
+        prow = rows[piv] = [x * inv if x else x for x in rows[piv]]
         if track is not None:
-            track[piv] = [x * inv for x in track[piv]]
+            trow = track[piv] = [x * inv if x else x for x in track[piv]]
         for i in range(nrows):
-            if i != piv and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[piv])]
+            c = rows[i][col]
+            if i != piv and c:
+                rows[i] = [x - c * y if y else x
+                           for x, y in zip(rows[i], prow)]
                 if track is not None:
-                    track[i] = [x - c * y
-                                for x, y in zip(track[i], track[piv])]
+                    track[i] = [x - c * y if y else x
+                                for x, y in zip(track[i], trow)]
         pivots.append(col)
         piv += 1
         if piv == nrows:
@@ -292,8 +305,52 @@ def _reduce(basis, v):
         c = v[pj]
         if c:
             for j in range(pj, len(v)):
-                v[j] = v[j] - c * row[j]
+                y = row[j]
+                if y:
+                    v[j] = v[j] - c * y
     return tuple(v)
+
+
+class RowSolver:
+    """Solves x*a = b for any number of right sides b, eliminating a once.
+
+    The equations are the columns of a: the RREF of a^T, with pivots p_k
+    and the transform T tracked (T*a^T is that RREF).  x*a = b is
+    consistent iff (T*b^T)_k = 0 for every k past the rank, and the
+    solution with its free coordinates 0 puts (T*b^T)_k at x[p_k].  This
+    is the answer of eliminating [a^T | b^T] with the same pivot order.
+    Set-up costs O(m*(n+m)*rank) field operations for an n x m matrix a,
+    each solve O(m^2).
+    """
+
+    __slots__ = ("field", "rows", "cols", "_pivots", "_track_t")
+
+    def __init__(self, a):
+        m = a.cols
+        eqs = [list(a.entries[j::m]) for j in range(m)]
+        zero, one = a.field.zero(), a.field.one()
+        track = [[one if i == j else zero for j in range(m)]
+                 for i in range(m)]
+        self.field = a.field
+        self.rows = a.rows
+        self.cols = m
+        self._pivots = _rref_rows(eqs, track)
+        # T^T row-major, so that T*b^T is the row product b*T^T
+        self._track_t = [t for col in zip(*track) for t in col]
+
+    def solve(self, b):
+        """Some x with x*a = b, or None; free coordinates of x are 0."""
+        if len(b) != self.cols:
+            raise ShapeMismatch("right side of length %d for %d columns"
+                                % (len(b), self.cols))
+        zero = self.field.zero()
+        y = _row_times(b, self._track_t, self.cols, zero)
+        if any(y[len(self._pivots):]):
+            return None
+        x = [zero] * self.rows
+        for p, c in zip(self._pivots, y):
+            x[p] = c
+        return tuple(x)
 
 
 def solve_row(a, b):
@@ -302,33 +359,35 @@ def solve_row(a, b):
     Deterministic: the system is reduced with fixed pivot order and free
     coordinates of x are set to 0.
     """
-    if len(b) != a.cols:
-        raise ShapeMismatch("right side of length %d for %d columns"
-                            % (len(b), a.cols))
-    # x*a = b  <=>  a^T x^T = b^T; eliminate on [a^T | b^T]
-    n = a.rows
-    aug = []
-    for j in range(a.cols):
-        aug.append([a[i, j] for i in range(n)] + [b[j]])
-    pivots = _rref_rows(aug)
-    if n in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    zero = a.field.zero()
-    x = [zero] * n
-    for k, col in enumerate(pivots):
-        x[col] = aug[k][n]
-    return tuple(x)
+    return RowSolver(a).solve(b)
 
 
 def kernel_left(a):
-    """The subspace {x : x*a = 0}, via transform tracking."""
-    rows = [list(a.row(i)) for i in range(a.rows)]
-    ident = Matrix.identity(a.field, a.rows)
-    track = [list(ident.row(i)) for i in range(a.rows)]
-    pivots = _rref_rows(rows, track)
-    rank = len(pivots)
-    kern = [tuple(track[i]) for i in range(rank, a.rows)]
-    return Subspace.from_rows(a.field, a.rows, kern)
+    """The subspace {x : x*a = 0}, from one elimination of its equations.
+
+    The equations are the columns of a, each reversed so that _rref_rows
+    takes its pivots from the right.  With pivot variables p_i and
+    eliminated equations R_i, each free variable f gives the row
+    e_f - sum_i R_i[f]*e_(p_i); R_i[f] is nonzero only for f < p_i, so
+    the row starts with 1 at f and is zero at every other free variable.
+    In ascending f these rows are the RREF basis.  O(m*n*rank) field
+    operations for an n x m matrix a.
+    """
+    n, m = a.rows, a.cols
+    eqs = [list(a.entries[j::m][::-1]) for j in range(m)]
+    pivots = [n - 1 - q for q in _rref_rows(eqs)]
+    zero, one = a.field.zero(), a.field.one()
+    free = sorted(set(range(n)).difference(pivots))
+    basis = []
+    for f in free:
+        row = [zero] * n
+        row[f] = one
+        for p, eq in zip(pivots, eqs):
+            c = eq[n - 1 - f]
+            if c:
+                row[p] = -c
+        basis.append(tuple(row))
+    return Subspace(a.field, n, tuple(basis))
 
 
 class Subspace:
@@ -416,7 +475,7 @@ class QuotientChart:
         for p, t in self._solver:
             c = v[p]
             if c:
-                out = [a + c * b for a, b in zip(out, t)]
+                out = [a + c * b if b else a for a, b in zip(out, t)]
         return tuple(out)
 
 

@@ -34,6 +34,7 @@ from fractions import Fraction
 from .braid import parse_braid
 from .cyclo import CycloField
 from .duality import SesquiData, gram_on_W, predicted_signature, signature
+from .errors import ShapeMismatch
 from .linalg import Matrix
 from .monodromy import VariationSpec, monodromy_generators
 from .tuples import validate_tuple
@@ -177,7 +178,9 @@ def golden_values():
 
 def first_matrix_diff(got, want):
     """None if equal, else (row, col, got_entry, want_entry), 1-based."""
-    assert got.rows == want.rows and got.cols == want.cols
+    if (got.rows, got.cols) != (want.rows, want.cols):
+        raise ShapeMismatch("%d x %d matrix against a %d x %d golden value"
+                            % (got.rows, got.cols, want.rows, want.cols))
     for i in range(got.rows):
         for j in range(got.cols):
             if got[i, j] != want[i, j]:

@@ -10,15 +10,22 @@ invert with Fraction polynomials (schoolbook product reduced by long
 division, extended Euclid over Q) instead of integer numerators over one
 denominator.  The H oracle intersects the direct sum of the block images
 Im(g_i - 1) with the kernel of the cocycle relation instead of taking
-the left kernel of one check matrix.
+the left kernel of one check matrix.  The elimination oracles solve
+x*a = b on the augmented matrix [a^T | b^T] instead of one tracked
+elimination of a^T, and take the left kernel from the transform of a
+tracked elimination of the rows of a followed by a second RREF instead
+of reading it off one elimination of the columns.  The sign oracle
+evaluates interval cosines with mpmath on every call instead of summing
+cached integer bounds.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from parcoh.linalg import (Matrix, Subspace, dot, kernel_left, solve_row,
-                           vec_add, vec_mat, vec_sub)
+from parcoh.errors import NotReal
+from parcoh.linalg import (Matrix, Subspace, _rref_rows, dot, kernel_left,
+                           solve_row, vec_add, vec_mat, vec_sub)
 
 
 def cup_chain_oracle(gstar, g, phi, psi):
@@ -216,3 +223,59 @@ def h_space_oracle(g):
     ker = kernel_left(cmat * relation)
     return Subspace.from_rows(F, r * d,
                               [vec_mat(x, cmat) for x in ker.basis])
+
+
+# ---------------------------------------------------------------------------
+# elimination and sign, as computed before the one-pass kernels
+
+
+def solve_row_oracle(a, b):
+    """Some x with x*a = b, or None, from the RREF of [a^T | b^T]; free
+    coordinates of x are 0."""
+    n = a.rows
+    aug = []
+    for j in range(a.cols):
+        aug.append([a[i, j] for i in range(n)] + [b[j]])
+    pivots = _rref_rows(aug)
+    if n in pivots:
+        return None  # pivot in the augmented column: inconsistent
+    zero = a.field.zero()
+    x = [zero] * n
+    for k, col in enumerate(pivots):
+        x[col] = aug[k][n]
+    return tuple(x)
+
+
+def kernel_left_oracle(a):
+    """{x : x*a = 0}: the transform rows past the rank of a tracked
+    elimination of the rows of a, put in RREF by a second elimination."""
+    rows = [list(a.row(i)) for i in range(a.rows)]
+    ident = Matrix.identity(a.field, a.rows)
+    track = [list(ident.row(i)) for i in range(a.rows)]
+    rank = len(_rref_rows(rows, track))
+    kern = [tuple(track[i]) for i in range(rank, a.rows)]
+    return Subspace.from_rows(a.field, a.rows, kern)
+
+
+def sign_oracle(x):
+    """Sign of a real element: the interval sum of num[k]*cos(2*pi*k/n)
+    evaluated with mpmath at 64, 128, ... bits until it misses 0."""
+    if not x.is_real():
+        raise NotReal("element is not fixed by conjugation")
+    if not x:
+        return 0
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    prec = 64
+    while prec <= 1 << 22:
+        ctx.prec = prec
+        total = ctx.zero
+        two_pi = 2 * ctx.pi
+        for k, c in enumerate(x.num):
+            if c:
+                total += ctx.mpf(c) * ctx.cos(two_pi * k / x.field.n)
+        if total > 0:
+            return 1
+        if total < 0:
+            return -1
+        prec *= 2
+    raise RuntimeError("interval refinement did not separate %r from 0" % x)

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from parcoh import cli, picard
-from parcoh.cyclo import format_element
+from parcoh.cyclo import CycloElem, format_element
 from parcoh.errors import ShapeMismatch
 from parcoh.problem import MAX_FIELD_DEGREE
 
@@ -304,6 +304,16 @@ def test_shape_mismatch_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(picard, "golden_values", broken)
     code, out, err = _run(["picard"], capsys)
     assert (code, out, err) == (5, "", "error: 3 x 1 times 3 x 1\n")
+
+
+def test_field_invariant_error_exits_5(monkeypatch, capsys):
+    # a sign of 0 for a nonzero pivot breaks an invariant of the field
+    monkeypatch.setattr(CycloElem, "sign", lambda self: 0)
+    code, out, err = _run(["gram", "--hermitian", PICARD], capsys)
+    assert code == 5
+    assert err.startswith("error: nonzero pivot ") and \
+        err.endswith(" has sign 0\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("as_json", [False, True])

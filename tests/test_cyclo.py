@@ -1,16 +1,20 @@
 """Exact cyclotomic arithmetic, checked against sympy's cyclotomic polynomials."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rand_element, rand_nonzero
-from oracles import fraction_inverse, fraction_mul
+from oracles import fraction_inverse, fraction_mul, sign_oracle
 from parcoh.cyclo import CycloField, format_element, parse_element
 from parcoh.errors import (FieldMismatch, LiteralSyntaxError, NoEmbedding,
                            NotReal)
@@ -198,9 +202,111 @@ def test_sign_builds_one_interval_context(monkeypatch):
     monkeypatch.setattr(mpmath.ctx_iv, "MPIntervalContext", counting)
     monkeypatch.setattr(cyclo, "_INTERVALS", None)
     F = CycloField(28)
+    monkeypatch.setattr(F, "_cos_bounds", [])
     signs = [(F.zeta(k) + F.zeta(28 - k)).sign() for k in range(1, 28)] * 3
     assert signs.count(0) == 6 and set(signs) == {-1, 0, 1}
     assert len(made) == 1
+
+
+def _exact(mpf_tuple):
+    sign, man, exp, _ = mpf_tuple
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def test_cosine_bounds_bracket_the_cosines():
+    # against mpmath's interval cosine at 128 more bits, read exactly: a
+    # bound rounded inwards (a floor for hi_k, say) falls inside the
+    # reference interval for some k
+    from parcoh import cyclo
+    ref = mpmath.ctx_iv.MPIntervalContext()
+    for n in PROPERTY_ORDERS:
+        F = CycloField(n)
+        for prec in (64, 128, 256):
+            ref.prec = prec + 128
+            bounds = cyclo._cosine_bounds(n, F.degree, prec)
+            assert len(bounds) == F.degree
+            for k, (lo, hi) in enumerate(bounds):
+                a, b = ref.cos(2 * ref.pi * k / n)._mpi_
+                assert lo <= _exact(a) * 2 ** prec, (n, prec, k)
+                assert _exact(b) * 2 ** prec <= hi, (n, prec, k)
+                assert hi - lo <= 64, (n, prec, k)
+
+
+def _near_zero(F, k):
+    """zeta^k + zeta^-k - p/q, p/q the first continued-fraction convergent
+    of 2*cos(2*pi*k/n) within 2^-66 of it, and the true sign."""
+    with mpmath.workprec(400):
+        v = x = 2 * mpmath.cos(2 * mpmath.pi * k / F.n)
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        while True:
+            a = int(mpmath.floor(x))
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            err = v - mpmath.mpf(h1) / k1
+            if abs(err) < mpmath.mpf(2) ** -66:
+                break
+            x = 1 / (x - a)
+        return F.zeta(k) + F.zeta(-k) - Fraction(h1, k1), \
+            (1 if err > 0 else -1)
+
+
+def test_sign_of_a_near_zero_element_builds_the_next_level(monkeypatch):
+    # within 2^-66 of 0, so the 64-bit bounds straddle 0 and 128 bits
+    # decide; a table whose bounds are not outward (the floor for both,
+    # say) decides at 64 bits, often wrongly
+    F = CycloField(7)
+    monkeypatch.setattr(F, "_cos_bounds", [])
+    x, expected = _near_zero(F, 1)
+    assert x.sign() == sign_oracle(x) == expected
+    assert (-x).sign() == -expected
+    assert [len(level) for level in F._cos_bounds] == [6, 6]
+
+
+def test_sign_builds_each_bound_level_once(monkeypatch):
+    from parcoh import cyclo
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    cos = ctx.cos
+    calls = []
+
+    def counting(x):
+        calls.append(ctx.prec)
+        return cos(x)
+
+    monkeypatch.setattr(ctx, "cos", counting, raising=False)
+    monkeypatch.setattr(cyclo, "_INTERVALS", ctx)
+    F = CycloField(20)
+    monkeypatch.setattr(F, "_cos_bounds", [])
+    rng = random.Random(117)
+    xs = []
+    for _ in range(100):
+        a = rand_element(F, rng, span=5)
+        xs += [a + a.conjugate(), a * a.conjugate() - 2]
+    signs = [x.sign() for x in xs]
+    assert calls == [64] * F.degree
+    near, expected = _near_zero(F, 3)
+    assert near.sign() == expected
+    assert calls == [64] * F.degree + [128] * F.degree
+    assert [x.sign() for x in xs + [near]] == signs + [expected]
+    assert len(calls) == 2 * F.degree
+    assert len(F._cos_bounds) == 2
+    for level in F._cos_bounds:
+        assert len(level) == F.degree
+        assert all(type(lo) is int and type(hi) is int and lo <= hi
+                   for lo, hi in level)
+
+
+def test_importing_and_computing_without_a_sign_leaves_mpmath_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "from parcoh import cli\n"
+            "assert cli.main(['w-basis', 'problems/picard.json']) == 0\n"
+            "print('mpmath' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         cwd=os.path.dirname(src), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-1] == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +407,11 @@ def test_conjugate_and_coerce_are_ring_homomorphisms(data):
 def test_format_then_parse_is_the_identity(data):
     F, a = data
     assert parse_element(format_element(a), F) == a
+
+
+@given(_field_and_elements(2))
+def test_sign_matches_the_interval_oracle(data):
+    F, a, b = data
+    for x in (a + a.conjugate(), a * a.conjugate() - b * b.conjugate(),
+              (a - b.conjugate()) * (b - a.conjugate())):
+        assert x.sign() == sign_oracle(x)

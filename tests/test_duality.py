@@ -233,10 +233,12 @@ _UNDER_O = """
 from fractions import Fraction
 from parcoh import cyclo
 from parcoh.cyclo import CycloElem, CycloField
-from parcoh.duality import SesquiData, gram_on_W, predicted_signature
+from parcoh.duality import (SesquiData, gram_on_W, predicted_signature,
+                            signature)
 from parcoh.errors import (FieldInvariantError, FormNotInvariant,
                            NotRootOfUnity, ShapeMismatch)
 from parcoh.linalg import Matrix, vec_mat
+from parcoh.picard import first_matrix_diff
 from parcoh.tuples import MatTuple, h_check
 
 class Unchecked(SesquiData):
@@ -286,6 +288,15 @@ try:
     K * K
 except ShapeMismatch:
     print("product")
+try:
+    first_matrix_diff(K, one)
+except ShapeMismatch:
+    print("shape")
+CycloElem.sign = lambda self: 0  # a sign routine that breaks its contract
+try:
+    signature(one)
+except FieldInvariantError:
+    print("pivot")
 """
 
 
@@ -297,7 +308,8 @@ def test_invariants_survive_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["kind", "exponents", "kappa", "coprime",
-                                  "division", "degree", "short", "product"]
+                                  "division", "degree", "short", "product",
+                                  "shape", "pivot"]
 
 
 def test_cycle_to_cocycle_lands_in_H():

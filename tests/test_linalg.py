@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_element, rand_invertible
+from oracles import kernel_left_oracle, solve_row_oracle
 from parcoh.cyclo import CycloField
 from parcoh.errors import NotASubspace, NotInvertible, ShapeMismatch
-from parcoh.linalg import (Matrix, Subspace, dot, kernel_left, quotient_chart,
-                           solve_row, vec_add, vec_is_zero, vec_mat, vec_scale)
+from parcoh.linalg import (Matrix, RowSolver, Subspace, dot, kernel_left,
+                           quotient_chart, solve_row, vec_add, vec_is_zero,
+                           vec_mat, vec_scale)
 
 
 def _rand_matrix(field, rows, cols, rng, span=2):
@@ -160,6 +162,8 @@ def test_dot_is_the_coordinate_pairing():
 
 FIELDS = (CycloField(3), CycloField(5))
 PROPERTY = settings(max_examples=40, deadline=None)
+ELIMINATION_ORDERS = (1, 3, 4, 5, 12)
+ELIMINATION = settings(max_examples=150, deadline=None)
 
 
 @st.composite
@@ -195,6 +199,47 @@ def _ambient_and_sub(draw):
                         ambient.dim))
     sub = Subspace.from_rows(F, n, [combo_of(ambient, c, F) for c in combos])
     return ambient, sub
+
+
+@st.composite
+def _any_matrix(draw):
+    """A rows x cols matrix, 0 <= rows, cols <= 6, over Q(zeta_n) for n in
+    ELIMINATION_ORDERS, with about half its entries zero; often a product
+    through a smaller inner size, so of rank below both sides."""
+    F = CycloField(draw(st.sampled_from(ELIMINATION_ORDERS)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    inner = draw(st.integers(0, 6))
+
+    def block(r, c):
+        return Matrix(F, r, c, [draw(_elements(F)) for _ in range(r * c)])
+    if inner < min(rows, cols):
+        return block(rows, inner) * block(inner, cols)
+    return block(rows, cols)
+
+
+@ELIMINATION
+@given(_any_matrix())
+def test_kernel_left_matches_the_two_pass_oracle(a):
+    ker = kernel_left(a)
+    assert ker == kernel_left_oracle(a)
+    assert all(not any(vec_mat(x, a)) for x in ker.basis)
+
+
+@ELIMINATION
+@given(_any_matrix(), st.data())
+def test_row_solver_matches_the_augmented_oracle(a, data):
+    F = a.field
+    solver = RowSolver(a)
+    for _ in range(3):
+        x = tuple(data.draw(_elements(F)) for _ in range(a.rows))
+        noise = tuple(data.draw(_elements(F)) for _ in range(a.cols))
+        # b in the row space of a, and b off it (when a is not onto)
+        for b in (vec_mat(x, a), vec_add(vec_mat(x, a), noise)):
+            want = solve_row_oracle(a, b)
+            assert solver.solve(b) == want
+            assert solve_row(a, b) == want
+            if want is not None:
+                assert vec_mat(want, a) == b
 
 
 @PROPERTY
