@@ -7,17 +7,24 @@ that order, v -> v*M*M'.
 
 The letter b_i at the tuple (..., a, b, ...) (a = g_i, b = g_(i+1))
 moves the pair to (b, b^-1 a b), and b_i^-1 moves it to (a b a^-1, a).
-Phi of a letter differs from the identity only in block columns i and
-i+1, so phi_on_H keeps the running product T and rewrites just those
-two block columns per letter (T_k = block column k):
+The inverses of the entries travel with the tuple, (a^-1, b^-1) ->
+(b^-1, b^-1 a^-1 b) and (a b^-1 a^-1, a^-1), so a walk inverts the r
+entries once and no letter inverts a matrix.  Phi of a letter differs
+from the identity only in block columns i and i+1, so a letter rewrites
+just those two block columns of whatever rows it is given (T_k = block
+column k):
 
     b_i:     T_i     <- T_(i+1)
              T_(i+1) <- T_i b + T_(i+1) (1 - b^-1 a b)
     b_i^-1:  T_i     <- T_i (b - 1) a^-1 + T_(i+1) a^-1
              T_(i+1) <- T_i
 
-A letter costs O(r d^3) field operations and needs at most the d x d
-inverse of a or b; no (r d) x (r d) product or inverse is formed.
+phi_on_H moves the r*d identity rows.  The monodromy moves only the
+dim H + dim E basis rows of W = H/E and multiplies each d-block of a row
+by chi for Psi(g, chi), skipping Psi(g, 1), which is the identity.  A
+generator with a word of L letters then costs O(L*(dim H + dim E)*d^2)
+field operations plus one chart read, where building and applying the
+dense Phi cost O(L*(r*d)*d^2) + O((r*d)^3).
 """
 
 import re
@@ -111,28 +118,53 @@ def _check_strands(g, beta):
                              % (beta.strands, g.r))
 
 
-def _act_letter(mats, i, exp):
-    """Move the list mats by b_(i+1)^exp in place (i is 0-based).
+def _walk(g, beta, invs=None):
+    """Move g by beta, carrying the inverses invs of its entries along.
 
-    Returns a^-1 for an inverse letter, where a is the old entry i, and
-    None for a positive one.
+    invs defaults to the inverses of g's entries.  Returns g^beta and,
+    per letter, (i, top, bottom, positive): the factors with which
+    _move_rows rewrites block columns i and i+1 (i is 0-based).
     """
-    a, b = mats[i], mats[i + 1]
-    if exp == 1:
-        mats[i], mats[i + 1] = b, b.inverse() * a * b
-        return None
-    ainv = a.inverse()
-    mats[i], mats[i + 1] = a * b * ainv, a
-    return ainv
+    _check_strands(g, beta)
+    if invs is None:
+        invs = [m.inverse() for m in g.mats]
+    mats, invs = list(g.mats), list(invs)
+    ident = Matrix.identity(g.field, g.dim)
+    steps = []
+    for idx, exp in beta.letters:
+        i = idx - 1
+        a, b, ainv, binv = mats[i], mats[i + 1], invs[i], invs[i + 1]
+        if exp == 1:
+            moved = binv * a * b
+            mats[i], mats[i + 1] = b, moved
+            invs[i], invs[i + 1] = binv, binv * ainv * b
+            steps.append((i, b, ident - moved, True))
+        else:
+            mats[i], mats[i + 1] = a * b * ainv, a
+            invs[i], invs[i + 1] = a * binv * ainv, ainv
+            steps.append((i, (b - ident) * ainv, ainv, False))
+    return type(g)(g.field, g.dim, mats), steps
+
+
+def _move_rows(rows, steps, d):
+    """Apply the letters of a walk to the row lists rows, in place.
+
+    mixed = T_i*top + T_(i+1)*bottom; a positive letter makes the pair
+    (T_(i+1), mixed), an inverse letter (mixed, T_i).
+    """
+    for i, top, bottom, positive in steps:
+        lo, hi = i * d, (i + 2) * d
+        stacked = top.entries + bottom.entries
+        zero = top.field.zero()
+        for row in rows:
+            pair = row[lo:hi]
+            mixed = _row_times(pair, stacked, d, zero)
+            row[lo:hi] = pair[d:] + mixed if positive else mixed + pair[:d]
 
 
 def act_on_tuple(g, beta):
     """The right action g^beta, letters applied left to right."""
-    _check_strands(g, beta)
-    mats = list(g.mats)
-    for idx, exp in beta.letters:
-        _act_letter(mats, idx - 1, exp)
-    return type(g)(g.field, g.dim, mats)
+    return _walk(g, beta)[0]
 
 
 class ChainMap:
@@ -160,43 +192,18 @@ class ChainMap:
         return "ChainMap(%d x %d)" % (self.matrix.rows, self.matrix.cols)
 
 
-def _mix_pair(rows, i, d, top, bottom, positive):
-    """Apply one letter to block columns i and i+1 of the rows of T.
-
-    mixed = T_i*top + T_(i+1)*bottom; a positive letter makes the pair
-    (T_(i+1), mixed), an inverse letter (mixed, T_i).
-    """
-    lo, hi = i * d, (i + 2) * d
-    stacked = top.entries + bottom.entries
-    zero = top.field.zero()
-    for row in rows:
-        pair = row[lo:hi]
-        mixed = _row_times(pair, stacked, d, zero)
-        row[lo:hi] = pair[d:] + mixed if positive else mixed + pair[:d]
-
-
 def phi_on_H(g, beta):
     """Phi(g, beta): H_g -> H_(g^beta) as an ambient ChainMap.
 
-    The running product T starts as the identity and each letter
-    rewrites two of its block columns (see the module docstring).
+    The r*d identity rows are moved through the letters of beta (see
+    the module docstring).
     """
-    _check_strands(g, beta)
-    f, d = g.field, g.dim
-    n = g.r * d
+    moved, steps = _walk(g, beta)
+    f, n = g.field, g.r * g.dim
     zero, one = f.zero(), f.one()
-    ident = Matrix.identity(f, d)
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    mats = list(g.mats)
-    for idx, exp in beta.letters:
-        i = idx - 1
-        b = mats[i + 1]
-        ainv = _act_letter(mats, i, exp)
-        if exp == 1:  # mats[i + 1] is now b^-1 a b
-            _mix_pair(rows, i, d, b, ident - mats[i + 1], True)
-        else:
-            _mix_pair(rows, i, d, (b - ident) * ainv, ainv, False)
-    return ChainMap(g, type(g)(f, d, mats),
+    _move_rows(rows, steps, g.dim)
+    return ChainMap(g, moved,
                     Matrix(f, n, n, [x for row in rows for x in row]))
 
 
@@ -207,28 +214,46 @@ def psi(g, h):
     return ChainMap(domain, g, mat)
 
 
+def _twist_rows(rows, chi, d):
+    """Psi(g, chi) on the row lists rows, in place: each d-block times chi."""
+    ent, zero = chi.entries, chi.field.zero()
+    for row in rows:
+        for lo in range(0, len(row), d):
+            row[lo:lo + d] = _row_times(row[lo:lo + d], ent, d, zero)
+
+
 def induced_on_W(chain_map, dom, cod):
     """Matrix of the induced map W_dom -> W_cod in the chart bases.
 
-    Verifies that the chain map sends H into H (by the codomain's check
-    matrix) and E into E first.  Each H basis vector is mapped once; the
-    chart representatives are H basis rows, so their images are taken
-    from those.
+    Raises DoesNotPreserveE unless the chain map sends H into H and E
+    into E.  The map is applied to each H and E basis vector of dom
+    once, and _on_W checks and reads the images.
     """
     if dom.tuple != chain_map.domain_tuple:
         raise TupleMismatch("chain map starts at another tuple")
     if cod.tuple != chain_map.codomain_tuple:
         raise TupleMismatch("chain map ends at another tuple")
-    images = {}
-    for v in dom.H.basis:
-        image = chain_map.apply(v)
+    return _on_W([chain_map.apply(v) for v in dom.H.basis + dom.E.basis],
+                 dom, cod)
+
+
+def _on_W(images, dom, cod):
+    """The matrix on W of a map given by its images of dom.H.basis and
+    then of dom.E.basis.
+
+    Verifies that the H images lie in H (by the codomain's check matrix)
+    and the E images in E first.  The chart representatives are H basis
+    rows, so their images are read at the positions the chart records.
+    """
+    nh = dom.H.dim
+    for image in images[:nh]:
         if any(vec_mat(image, cod.K)):
             raise DoesNotPreserveE("image of an H basis vector leaves H")
-        images[v] = image
-    for v in dom.E.basis:
-        if not cod.E.contains(chain_map.apply(v)):
+    for image in images[nh:]:
+        if not cod.E.contains(image):
             raise DoesNotPreserveE("image of an E basis vector leaves E")
-    rows = [cod.chart._coords(images[rep]) for rep in dom.chart.reps]
+    field = cod.tuple.field
+    rows = [cod.chart._coords(images[k]) for k in dom.chart.positions]
     if not rows:
-        return Matrix.zero(chain_map.matrix.field, 0, cod.dim)
-    return Matrix.from_rows(chain_map.matrix.field, rows)
+        return Matrix.zero(field, 0, cod.dim)
+    return Matrix.from_rows(field, rows)

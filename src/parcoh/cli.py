@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import picard as picard_mod
-from .braid import BraidWord, phi_on_H
+from .braid import BraidWord, _move_rows, _walk, phi_on_H
 from .cyclo import format_element
 from .duality import (cup_pairing, gram_on_W, lift_parabolic,
                       predicted_signature, signature)
@@ -253,6 +253,14 @@ def _verify_checks(problem):
             yield ("compatibility %s" % name, ok, 3)
 
     H = ws.H
+    invs = [m.inverse() for m in g.mats]
+
+    def moved(beta, basis):
+        """g^beta and the rows of basis moved by Phi(g, beta)."""
+        tup, steps = _walk(g, beta, invs)
+        rows = [list(v) for v in basis]
+        _move_rows(rows, steps, d)
+        return tup, rows
 
     def maps_equal(a, b):
         return all(a.apply(v) == b.apply(v) for v in H.basis)
@@ -260,7 +268,7 @@ def _verify_checks(problem):
     # Artin relations, as maps on H
     ok = True
     for left, right in artin_relations(r):
-        if not maps_equal(phi_on_H(g, left), phi_on_H(g, right)):
+        if moved(left, H.basis)[1] != moved(right, H.basis)[1]:
             ok = False
     yield ("braid relations on H", ok, 5)
 
@@ -282,12 +290,10 @@ def _verify_checks(problem):
     # each elementary letter maps E into E of the moved tuple
     ok = True
     for i in range(1, r - 1):
-        beta = BraidWord(r - 1, [(i, 1)])
-        ph = phi_on_H(g, beta)
-        Emoved = e_space(ph.codomain_tuple)
-        for v in ws.E.basis:
-            if not Emoved.contains(ph.apply(v)):
-                ok = False
+        tup, rows = moved(BraidWord(r - 1, [(i, 1)]), ws.E.basis)
+        Emoved = e_space(tup)
+        if not all(Emoved.contains(v) for v in rows):
+            ok = False
     yield ("E preserved by braid letters", ok, 5)
 
     # cup value does not depend on the choice of lifts

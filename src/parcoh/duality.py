@@ -343,16 +343,14 @@ def predicted_signature(g, eigen_exponents=None):
         if d != 1:
             raise NotRootOfUnity(
                 "eigenvalue exponents must be supplied when d > 1")
+        exponent = {g.field.zeta(k): k for k in range(n)}
         eigen_exponents = []
         for m in g.mats:
             x = m[0, 0]
-            for k in range(n):
-                if x == g.field.zeta(k):
-                    eigen_exponents.append([k])
-                    break
-            else:
+            if x not in exponent:
                 raise NotRootOfUnity("entry %s is not a power of zeta_%d"
                                      % (x, n))
+            eigen_exponents.append([exponent[x]])
     if len(eigen_exponents) != g.r:
         raise NotRootOfUnity("expected eigenvalues for %d matrices, got %d"
                              % (g.r, len(eigen_exponents)))

@@ -435,14 +435,18 @@ class Subspace:
 
 
 class QuotientChart:
-    """A chart for ambient/sub: representatives and a coordinate map."""
+    """A chart for ambient/sub: representatives and a coordinate map.
 
-    __slots__ = ("ambient", "sub", "reps", "_solver")
+    The representatives are the ambient basis rows at positions.
+    """
 
-    def __init__(self, ambient, sub, reps):
+    __slots__ = ("ambient", "sub", "positions", "reps", "_solver")
+
+    def __init__(self, ambient, sub, positions):
         self.ambient = ambient
         self.sub = sub
-        self.reps = reps
+        self.positions = positions
+        self.reps = tuple(ambient.basis[k] for k in positions)
         self._solver = None
 
     @property
@@ -488,14 +492,14 @@ def quotient_chart(ambient, sub):
     """
     if not ambient.contains_subspace(sub):
         raise NotASubspace("sub is not contained in ambient")
-    reps = []
+    positions = []
     kept = list(sub.basis)
-    for row in ambient.basis:
+    for k, row in enumerate(ambient.basis):
         rest = _reduce(kept, row)
         if any(rest):
-            reps.append(row)
+            positions.append(k)
             inv = next(x for x in rest if x).inverse()
             kept.append(tuple(x * inv for x in rest))
-    if len(reps) != ambient.dim - sub.dim:
+    if len(positions) != ambient.dim - sub.dim:
         raise NotASubspace("ambient basis is not independent modulo sub")
-    return QuotientChart(ambient, sub, tuple(reps))
+    return QuotientChart(ambient, sub, tuple(positions))

@@ -5,10 +5,12 @@ word phi(gamma) and an invertible matrix chi(gamma) subject to the
 compatibility condition g^(phi(gamma)) = (chi gamma... chi^-1), i.e. the
 braid moves the tuple exactly as conjugation by chi(gamma) undoes.  The
 monodromy matrix is the W-quotient of Phi(g, phi(gamma)) followed by
-Psi(g, chi(gamma)).
+Psi(g, chi(gamma)); it is computed by moving only the H and E basis rows
+through the word and twisting them blockwise by chi, never as an
+ambient (r*d) x (r*d) matrix.
 """
 
-from .braid import act_on_tuple, induced_on_W, phi_on_H, psi
+from .braid import _move_rows, _on_W, _twist_rows, _walk
 from .errors import IncompatibleSpec, UnknownGenerator
 from .linalg import Matrix
 from .tuples import w_space
@@ -45,36 +47,51 @@ def _first_mismatch(moved, conj):
     return None
 
 
+def _walks(spec):
+    """Per generator (name, twist, steps of its walk, first mismatch).
+
+    twist is chi, or None when chi = 1: then Psi(g, chi) is the identity
+    and chi g chi^-1 is g itself.  The entries of g are inverted once
+    for all words.
+    """
+    g = spec.tuple
+    invs = [m.inverse() for m in g.mats]
+    one = Matrix.identity(g.field, g.dim)
+    out = []
+    for name, beta, chi in spec.generators:
+        moved, steps = _walk(g, beta, invs)
+        twist = None if chi == one else chi
+        conj = g if twist is None else g.conjugated(twist)
+        out.append((name, twist, steps, _first_mismatch(moved, conj)))
+    return out
+
+
 def check_compatibility(spec):
     """Per-generator report: (name, ok, first failing tuple index or None)."""
-    g = spec.tuple
-    report = []
-    for name, beta, chi in spec.generators:
-        bad = _first_mismatch(act_on_tuple(g, beta), g.conjugated(chi))
-        report.append((name, bad is None, bad))
-    return report
+    return [(name, bad is None, bad) for name, _, _, bad in _walks(spec)]
 
 
 def monodromy_generators(spec):
     """The monodromy matrices of all named generators on W_g.
 
-    Phi and Psi are built once per generator; a generator is compatible
-    when the braid moves g to the tuple that Psi starts from.  Every
-    incompatible name is reported, in spec order, before W is built.
+    Every incompatible name is reported, in spec order, before W is
+    built.  Then the H and E basis rows are moved through each word,
+    twisted by chi unless chi = 1, and read in the W chart.
     """
-    g = spec.tuple
-    maps, bad = [], []
-    for name, beta, chi in spec.generators:
-        ph, ps = phi_on_H(g, beta), psi(g, chi)
-        if _first_mismatch(ph.codomain_tuple, ps.domain_tuple) is not None:
-            bad.append(name)
-        else:
-            maps.append((name, ph.compose(ps)))
+    walks = _walks(spec)
+    bad = [name for name, _, _, mismatch in walks if mismatch is not None]
     if bad:
         raise IncompatibleSpec("compatibility fails for: %s" % ", ".join(bad))
-    ws = w_space(g)
-    return MonodromyRep(ws, [(name, induced_on_W(m, ws, ws))
-                             for name, m in maps])
+    d = spec.tuple.dim
+    ws = w_space(spec.tuple)
+    images = []
+    for name, twist, steps, _ in walks:
+        rows = [list(v) for v in ws.H.basis + ws.E.basis]
+        _move_rows(rows, steps, d)
+        if twist is not None:
+            _twist_rows(rows, twist, d)
+        images.append((name, _on_W(rows, ws, ws)))
+    return MonodromyRep(ws, images)
 
 
 def eta(spec, word):

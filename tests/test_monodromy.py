@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_tuple
 from oracles import phi_dense_oracle
@@ -102,6 +104,92 @@ def test_monodromy_with_a_nonidentity_twist():
         assert m == induced_on_W(oracle.compose(psi(g, chi)), ws, ws)
     twist, untwist = rep.image_by_name("twist"), rep.image_by_name("untwist")
     assert twist * untwist == Matrix.identity(F, ws.dim)
+
+
+def _dense_monodromy(g, beta, chi, ws):
+    """The map on W from the dense Phi oracle composed with the dense Psi."""
+    dense, mats = phi_dense_oracle(g, beta)
+    chain = ChainMap(g, MatTuple(g.field, g.dim, mats), dense)
+    return induced_on_W(chain.compose(psi(g, chi)), ws, ws)
+
+
+def _pure_braid(strands, i, j):
+    """A_ij = c b_i^2 c^-1 with c = b_(j-1)...b_(i+1), 1 <= i < j <= strands."""
+    c = BraidWord(strands, [(k, 1) for k in range(j - 1, i, -1)])
+    return c * BraidWord(strands, [(i, 1), (i, 1)]) * c.inverse()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rank_one_pure_braid_products_match_the_dense_oracle(data):
+    """Products of A_ij and their inverses fix a rank-one tuple, chi = 1."""
+    n = data.draw(st.sampled_from([1, 3, 4, 6]), label="n")
+    r = data.draw(st.integers(3, 6), label="r")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    F = CycloField(n)
+    g = rand_tuple(F, r, 1, rng, span=2)
+    s = r - 1
+    words = []
+    for _ in range(data.draw(st.integers(1, 3), label="generators")):
+        beta = BraidWord(s, [])
+        for _ in range(data.draw(st.integers(0, 3), label="factors")):
+            i = data.draw(st.integers(1, s - 1), label="i")
+            j = data.draw(st.integers(i + 1, s), label="j")
+            step = _pure_braid(s, i, j)
+            if data.draw(st.booleans(), label="inverse"):
+                step = step.inverse()
+            beta = beta * step
+        words.append(beta)
+    one = Matrix.identity(F, 1)
+    spec = VariationSpec(g, [("w%d" % k, beta, one)
+                             for k, beta in enumerate(words)])
+    rep = monodromy_generators(spec)
+    for (_, m), beta in zip(rep.images, words):
+        assert m == _dense_monodromy(g, beta, one, rep.wspace)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_full_twists_with_nonidentity_chi_match_the_dense_oracle(data):
+    """d = 2 and 3: the full twist and its inverse, chi = g_r and g_r^-1."""
+    d = data.draw(st.sampled_from([2, 3]), label="d")
+    r = data.draw(st.integers(3, 4), label="r")
+    F = CycloField(data.draw(st.sampled_from([3, 4]), label="n"))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    g = rand_tuple(F, r, d, rng)
+    last = g.mats[-1]
+    gens = [("twist", _full_twist(r - 1, 1), last),
+            ("untwist", _full_twist(r - 1, -1), last.inverse())]
+    rep = monodromy_generators(VariationSpec(g, gens))
+    for (_, m), (_, beta, chi) in zip(rep.images, gens):
+        assert m == _dense_monodromy(g, beta, chi, rep.wspace)
+
+
+def test_monodromy_inverts_each_tuple_entry_once(monkeypatch):
+    """No letter inverts a matrix: the r entries of g are inverted once."""
+    spec = picard.variation()
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    monodromy_generators(spec)
+    assert spec.tuple.r == 5
+    assert len(calls) == 5
+
+
+def test_identity_twists_never_conjugate_the_tuple(monkeypatch):
+    spec = picard.variation()
+    want = monodromy_generators(spec).images
+
+    def no_conjugation(self, h):
+        raise AssertionError("conjugated by an identity twist")
+
+    monkeypatch.setattr(MatTuple, "conjugated", no_conjugation)
+    assert monodromy_generators(spec).images == want
 
 
 def test_picard_generators_act_invertibly_on_W():
