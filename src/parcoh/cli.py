@@ -11,9 +11,9 @@ import json
 import sys
 
 from . import picard as picard_mod
-from .braid import BraidWord, _move_rows, _walk, phi_on_H
+from .braid import BraidWord, _move_rows, _walk
 from .cyclo import format_element
-from .duality import (cup_pairing, gram_on_W, lift_parabolic,
+from .duality import (_blocks, _dual_check, _lift, cup_pairing, gram_on_W,
                       predicted_signature, signature)
 from .errors import (BraidSyntaxError, DoesNotPreserveE, FieldInvariantError,
                      FormNotInvariant, IncompatibleSpec, LiteralSyntaxError,
@@ -25,7 +25,7 @@ from .linalg import Matrix, kernel_left, vec_add, vec_mat
 from .monodromy import VariationSpec, check_compatibility, monodromy_generators
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
                       vector_to_json)
-from .tuples import dual_tuple, e_space, h_space, w_space
+from .tuples import dual_tuple, e_space, h_check, w_space
 
 
 def _fmt_vec(v):
@@ -243,7 +243,7 @@ def artin_relations(r):
 def _verify_checks(problem):
     """Yield (name, ok, exit_code_on_failure) for the invariant suite."""
     g = problem.tuple
-    field, r, d = g.field, g.r, g.dim
+    r, d = g.r, g.dim
     ws = w_space(g)
     yield ("tuple validation", True, 2)
 
@@ -262,59 +262,39 @@ def _verify_checks(problem):
         _move_rows(rows, steps, d)
         return tup, rows
 
-    def maps_equal(a, b):
-        return all(a.apply(v) == b.apply(v) for v in H.basis)
-
     # Artin relations, as maps on H
-    ok = True
-    for left, right in artin_relations(r):
-        if moved(left, H.basis)[1] != moved(right, H.basis)[1]:
-            ok = False
+    ok = all(moved(left, H.basis)[1] == moved(right, H.basis)[1]
+             for left, right in artin_relations(r))
     yield ("braid relations on H", ok, 5)
 
-    # cocycle rule on the file's words (split at the midpoint)
-    ok = True
-    words = [beta for _, beta, _ in problem.generators or []]
-    for beta in words:
-        if len(beta.letters) < 2:
-            continue
-        k = len(beta.letters) // 2
-        w1 = BraidWord(beta.strands, beta.letters[:k])
-        w2 = BraidWord(beta.strands, beta.letters[k:])
-        first = phi_on_H(g, w1)
-        second = phi_on_H(first.codomain_tuple, w2)
-        if not maps_equal(first.compose(second), phi_on_H(g, beta)):
-            ok = False
-    yield ("cocycle rule on file words", ok, 5)
-
-    # each elementary letter maps E into E of the moved tuple
-    ok = True
+    # each letter b_i^(+-1) maps H into H and E into E of the moved tuple
+    h_ok = e_ok = True
     for i in range(1, r - 1):
-        tup, rows = moved(BraidWord(r - 1, [(i, 1)]), ws.E.basis)
-        Emoved = e_space(tup)
-        if not all(Emoved.contains(v) for v in rows):
-            ok = False
-    yield ("E preserved by braid letters", ok, 5)
+        for e in (1, -1):
+            tup, rows = moved(BraidWord(r - 1, [(i, e)]), H.basis + ws.E.basis)
+            K, Emoved = h_check(tup), e_space(tup)
+            h_ok = h_ok and not any(any(vec_mat(v, K)) for v in rows[:H.dim])
+            e_ok = e_ok and all(Emoved.contains(v) for v in rows[H.dim:])
+    yield ("H preserved by braid letters", h_ok, 5)
+    yield ("E preserved by braid letters", e_ok, 5)
 
-    # cup value does not depend on the choice of lifts
+    # cup value does not depend on the choice of lifts; the lifts, their
+    # shifts (the left kernels of g_i - 1) and H(g*) all come from the
+    # solvers of g_i - 1 that w_space kept
     gs = dual_tuple(g)
-    Hs = h_space(gs)
+    Hs = kernel_left(_dual_check(ws, gs))
     ok = True
     if H.dim and Hs.dim:
-        phi_elt = Hs.basis[0]
-        psi_elt = H.basis[-1]
-        blocks = [tuple(psi_elt[i * d:(i + 1) * d]) for i in range(r)]
-        base_lifts = [lift_parabolic(g.mats[i], blocks[i]) for i in range(r)]
-        value = cup_pairing(gs, g, phi_elt, psi_elt, lifts=base_lifts)
-        ident = Matrix.identity(field, d)
-        for i in range(r):
-            ker = kernel_left(g.mats[i] - ident)
-            for kv in ker.basis:
-                shifted = list(base_lifts)
+        phi_elt, psi_elt = Hs.basis[0], H.basis[-1]
+        lifts = [_lift(solver, b)
+                 for solver, b in zip(ws.solvers, _blocks(psi_elt, r, d))]
+        value = cup_pairing(gs, g, phi_elt, psi_elt, lifts=lifts)
+        for i, solver in enumerate(ws.solvers):
+            for kv in solver.left_kernel():
+                shifted = list(lifts)
                 shifted[i] = vec_add(shifted[i], kv)
-                if cup_pairing(gs, g, phi_elt, psi_elt,
-                               lifts=shifted) != value:
-                    ok = False
+                ok = ok and cup_pairing(gs, g, phi_elt, psi_elt,
+                                        lifts=shifted) == value
     yield ("cup independent of lifts", ok, 5)
 
     if problem.form is not None:
@@ -326,17 +306,13 @@ def _verify_checks(problem):
             yield ("form invariance on V (%s)" % e, False, 4)
             form_ok = False
         if form_ok and problem.generators is not None and ws.dim:
-            res = gram_on_W(g, problem.form)
-            rep = monodromy_generators(spec)
+            G = gram_on_W(g, problem.form).G
+            hermitian = problem.form.kind == "hermitian"
             ok = True
-            for name, m in rep.images:
-                m = m.coerce(res.G.field)
-                if problem.form.kind == "hermitian":
-                    good = (m.conj() * res.G * m.transpose()) == res.G
-                else:
-                    good = (m * res.G * m.transpose()) == res.G
-                if not good:
-                    ok = False
+            for _, m in monodromy_generators(spec).images:
+                m = m.coerce(G.field)
+                left = m.conj() if hermitian else m
+                ok = ok and left * G * m.transpose() == G
             yield ("monodromy preserves the W form", ok, 5)
 
 

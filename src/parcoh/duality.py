@@ -9,9 +9,9 @@ parabolic cocycle psi for g is
 where v'_i solves v'_i (g_i - 1) = v_i (any solution works; the value is
 independent of the lift and of representatives mod E).  <,> is the
 standard coordinate pairing.  The value splits as <chain_row(g*, phi),
-lift_row(g, psi)>: chain_row depends on phi only (block i is
-v*_i + T_i (g*_i - 1), T_i the inner sum over j < i) and lift_row on psi
-only (the lifts v'_1, ..., v'_r concatenated).
+the lift row of psi>: chain_row depends on phi only (block i is
+v*_i + T_i (g*_i - 1), T_i the inner sum over j < i) and the lift row
+on psi only (the lifts v'_1, ..., v'_r concatenated).
 
 Hermitian form on W_g: (phi, psi) = -i * (kappa(conj(phi)) cup psi),
 computed after coercing to Q(zeta_m) with m = lcm(n, 4) so that
@@ -21,12 +21,13 @@ x, y -> x*J*conj(y)^T on V.
 
 On the chart representatives rep_1, ..., rep_w of W_g the Gram matrix
 is therefore one product, G = -i * A * L^T: row k of A is
-chain_row(g*, kappa(rep_k)) and row l of L is lift_row(g, rep_l),
-so the cost is w rows of r lifts each, not w^2 pairings.  g*, the
-check matrix K_(g*) of H_(g*) (see tuples.h_check) and one
-linalg.RowSolver of g_i - 1 per entry (each lift is then one product with
-its tracked transform) are built once per Gram, and every kappa image v
-is checked by v*K_(g*) = 0; H_(g*) itself is never built.  A bilinear
+chain_row(g*, kappa(rep_k)) and row l of L is the lift row of rep_l,
+so the cost is w rows of r lifts each, not w^2 pairings.  Each g_i - 1
+is eliminated once per Gram, by the linalg.RowSolver that w_space keeps
+in WSpace.solvers (see tuples): it lifts each block in O(d^2), and its
+left kernel is block i of the check matrix K_(g*) of H_(g*), which
+then costs only the suffix products of g*.  Every kappa image v is
+checked by v*K_(g*) = 0; H_(g*) itself is never built.  A bilinear
 form gives G = A * L^T with kappa(v) = v*J^T.
 
 The form is conjugate-linear in the first argument and linear in the
@@ -43,15 +44,10 @@ from math import lcm
 from .cyclo import CycloField
 from .errors import (FieldInvariantError, FormNotInvariant, NonzeroH0,
                      NotHermitian, NotParabolic, NotRootOfUnity, TupleMismatch)
-from .linalg import (Matrix, RowSolver, dot, kernel_left, vec_add, vec_conj,
-                     vec_mat, vec_sub)
-from .tuples import common_fixed_space, dual_tuple, h_check, w_space
-
-
-def _lift_solvers(g):
-    """One RowSolver of g_i - 1 per entry of g, for every block it lifts."""
-    ident = Matrix.identity(g.field, g.dim)
-    return [RowSolver(m - ident) for m in g.mats]
+from .linalg import (Matrix, dot, kernel_left, vec_add, vec_conj, vec_mat,
+                     vec_sub)
+from .tuples import (_check_matrix, _entry_solver, common_fixed_space,
+                     dual_tuple, w_space)
 
 
 def _lift(solver, v_i):
@@ -63,7 +59,7 @@ def _lift(solver, v_i):
 
 def lift_parabolic(g_i, v_i):
     """A deterministic v' with v'*(g_i - 1) = v_i; NotParabolic if none."""
-    return _lift(RowSolver(g_i - Matrix.identity(g_i.field, g_i.rows)), v_i)
+    return _lift(_entry_solver(g_i), v_i)
 
 
 def _blocks(v, r, d):
@@ -85,16 +81,18 @@ def chain_row(gstar, phi):
     return tuple(out)
 
 
-def lift_row(g, psi):
-    """The psi factor of the cup product: its r lifts, concatenated."""
-    return _lift_row(_lift_solvers(g), psi, g.dim)
-
-
 def _lift_row(solvers, psi, d):
+    """The psi factor of the cup product: its r lifts, concatenated."""
     out = []
     for solver, w in zip(solvers, _blocks(psi, len(solvers), d)):
         out.extend(_lift(solver, w))
     return tuple(out)
+
+
+def _dual_check(ws, gstar):
+    """K_(g*) for gstar = dual_tuple(ws.tuple), from the left kernels of
+    the g_i - 1 (the right kernels of the g*_i - 1) in ws.solvers."""
+    return _check_matrix(gstar, [s.left_kernel() for s in ws.solvers])
 
 
 def _check_dual(gstar, g):
@@ -115,7 +113,7 @@ def cup_pairing(gstar, g, phi, psi, lifts=None):
     """
     _check_dual(gstar, g)
     if lifts is None:
-        row = lift_row(g, psi)
+        row = _lift_row([_entry_solver(m) for m in g.mats], psi, g.dim)
     else:
         ident = Matrix.identity(g.field, g.dim)
         ws = _blocks(psi, g.r, g.dim)
@@ -197,7 +195,7 @@ def gram_on_W(g, form):
     """Gram matrix of the induced form on the W_g representative basis.
 
     G = A * L^T (times -i for a hermitian form): row k of A is the
-    chain_row of kappa(rep_k), row l of L is the lift_row of rep_l.
+    chain_row of kappa(rep_k), row l of L is the lift row of rep_l.
     """
     form.check(g)
     hermitian = form.kind == "hermitian"
@@ -212,7 +210,7 @@ def gram_on_W(g, form):
     ws = w_space(g)
     reps = ws.chart.reps
     gstar = dual_tuple(g)
-    Kstar = h_check(gstar)
+    Kstar = _dual_check(ws, gstar)
     Jt = J.transpose()
     A = []
     for rep in reps:
@@ -223,8 +221,7 @@ def gram_on_W(g, form):
             raise FormNotInvariant("kappa image of a W representative "
                                    "is not a parabolic cocycle for g*")
         A.append(chain_row(gstar, phi))
-    solvers = _lift_solvers(g)
-    L = [_lift_row(solvers, rep, g.dim) for rep in reps]
+    L = [_lift_row(ws.solvers, rep, g.dim) for rep in reps]
     G = Matrix.from_rows(g.field, A) * \
         Matrix.from_rows(g.field, L).transpose()
     if hermitian:

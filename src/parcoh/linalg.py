@@ -10,12 +10,12 @@ multiplier entry is zero, which x - c*0 = x makes exact.
 
 For an N x m matrix a, the equations of x*a = b are its m columns.
 kernel_left eliminates them once, with pivots taken from the right, and
-reads the RREF basis of {x : x*a = 0} off the result; RowSolver
-eliminates them once with the transform tracked and then solves for any
-number of right sides b.  Each costs O(m*N*rank) field operations (the
-solver's transform adds O(m^2*rank)), where tracking an N x N identity
-through the rows of a and then putting the kernel rows in RREF cost
-O(N^2*(N+m)).
+reads the RREF basis of {x : x*a = 0} off the result.  RowSolver
+eliminates them once with the transform tracked, solves for any number
+of right sides b and reads a basis of each kernel of a off that pass.
+Each costs O(m*N*rank) field operations (the solver's transform adds
+O(m^2*rank)), where tracking an N x N identity through the rows of a
+and then putting the kernel rows in RREF cost O(N^2*(N+m)).
 """
 
 from .errors import NotASubspace, NotInvertible, ShapeMismatch
@@ -314,16 +314,16 @@ def _reduce(basis, v):
 class RowSolver:
     """Solves x*a = b for any number of right sides b, eliminating a once.
 
-    The equations are the columns of a: the RREF of a^T, with pivots p_k
-    and the transform T tracked (T*a^T is that RREF).  x*a = b is
-    consistent iff (T*b^T)_k = 0 for every k past the rank, and the
-    solution with its free coordinates 0 puts (T*b^T)_k at x[p_k].  This
-    is the answer of eliminating [a^T | b^T] with the same pivot order.
+    The equations are the columns of a: the RREF R of a^T, with pivots
+    p_k and the transform T tracked (T*a^T = R).  x*a = b is consistent
+    iff (T*b^T)_k = 0 for every k past the rank, and the solution with
+    its free coordinates 0 puts (T*b^T)_k at x[p_k].  The rows of T past
+    the rank span {y : a*y^T = 0}, and R*x^T = 0 gives {x : x*a = 0}.
     Set-up costs O(m*(n+m)*rank) field operations for an n x m matrix a,
-    each solve O(m^2).
+    each solve O(m^2) and each kernel at most a negation per entry.
     """
 
-    __slots__ = ("field", "rows", "cols", "_pivots", "_track_t")
+    __slots__ = ("field", "rows", "cols", "_pivots", "_eqs", "_track_t")
 
     def __init__(self, a):
         m = a.cols
@@ -335,6 +335,7 @@ class RowSolver:
         self.rows = a.rows
         self.cols = m
         self._pivots = _rref_rows(eqs, track)
+        self._eqs = eqs[:len(self._pivots)]
         # T^T row-major, so that T*b^T is the row product b*T^T
         self._track_t = [t for col in zip(*track) for t in col]
 
@@ -352,6 +353,16 @@ class RowSolver:
             x[p] = c
         return tuple(x)
 
+    def left_kernel(self):
+        """A basis of {x : x*a = 0}, one row per free coordinate."""
+        return _free_rows(self.field, self.rows, self._pivots, self._eqs)
+
+    def right_kernel(self):
+        """A basis of {y : a*y^T = 0}: the rows of T past the rank."""
+        m = self.cols
+        return tuple(tuple(self._track_t[k::m])
+                     for k in range(len(self._pivots), m))
+
 
 def solve_row(a, b):
     """Some x with x*a = b, or None.
@@ -362,32 +373,34 @@ def solve_row(a, b):
     return RowSolver(a).solve(b)
 
 
+def _free_rows(field, n, pivots, eqs):
+    """The solutions e_f - sum_k eqs[k][f]*e_(pivots[k]), free f < n."""
+    zero, one = field.zero(), field.one()
+    basis = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        row = [zero] * n
+        row[f] = one
+        for p, eq in zip(pivots, eqs):
+            c = eq[f]
+            if c:
+                row[p] = -c
+        basis.append(tuple(row))
+    return tuple(basis)
+
+
 def kernel_left(a):
     """The subspace {x : x*a = 0}, from one elimination of its equations.
 
     The equations are the columns of a, each reversed so that _rref_rows
-    takes its pivots from the right.  With pivot variables p_i and
-    eliminated equations R_i, each free variable f gives the row
-    e_f - sum_i R_i[f]*e_(p_i); R_i[f] is nonzero only for f < p_i, so
-    the row starts with 1 at f and is zero at every other free variable.
-    In ascending f these rows are the RREF basis.  O(m*n*rank) field
-    operations for an n x m matrix a.
+    takes its pivots from the right.  An eliminated equation R_i is then
+    nonzero only at free f < p_i, so in ascending f the _free_rows are
+    the RREF basis.  O(m*n*rank) field operations for an n x m matrix a.
     """
     n, m = a.rows, a.cols
     eqs = [list(a.entries[j::m][::-1]) for j in range(m)]
     pivots = [n - 1 - q for q in _rref_rows(eqs)]
-    zero, one = a.field.zero(), a.field.one()
-    free = sorted(set(range(n)).difference(pivots))
-    basis = []
-    for f in free:
-        row = [zero] * n
-        row[f] = one
-        for p, eq in zip(pivots, eqs):
-            c = eq[n - 1 - f]
-            if c:
-                row[p] = -c
-        basis.append(tuple(row))
-    return Subspace(a.field, n, tuple(basis))
+    return Subspace(a.field, n, _free_rows(
+        a.field, n, pivots, [eq[::-1] for eq in eqs[:len(pivots)]]))
 
 
 class Subspace:

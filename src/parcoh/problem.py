@@ -47,6 +47,7 @@ def matrix_from_json(field, data, rows, cols, where):
                                    % (where, rows * cols, len(data)))
         data = [data[i * cols:(i + 1) * cols] for i in range(rows)]
     if len(data) != rows or any(not isinstance(row, list) or len(row) != cols
+                                or not all(isinstance(x, str) for x in row)
                                 for row in data):
         raise ProblemFileError("%s: expected %dx%d rows of literals"
                                % (where, rows, cols))

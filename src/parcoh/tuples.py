@@ -12,10 +12,17 @@ k + d columns, k = sum_i dim ker(g_i - 1) (k = 0 when no g_i has the
 eigenvalue 1), so a membership test is one product of O(r*d*(k+d))
 field operations, and h_space is one elimination of K_g,
 O(r*d*(k+d)*(r*d+k+d)) field operations.
+
+Each g_i - 1 is eliminated once, O(d^3), by the linalg.RowSolver that
+w_space keeps in WSpace.solvers.  It lifts any v_i in Im(g_i - 1) to a
+v' with v'*(g_i - 1) = v_i in O(d^2); its right kernel is block i of
+K_g, and its left kernel, the right kernel of g*_i - 1 =
+(g_i^-1)^T - 1, is block i of K_(g*) for the dual tuple g*, so both
+check matrices cost only their suffix products beyond that elimination.
 """
 
 from .errors import NotInvertible, ProductNotOne, TooFewPoints, TupleError
-from .linalg import Matrix, Subspace, kernel_left, quotient_chart
+from .linalg import Matrix, RowSolver, Subspace, kernel_left, quotient_chart
 
 
 class MatTuple:
@@ -89,16 +96,14 @@ def validate_tuple(mats):
     return MatTuple(field, d, mats)
 
 
-def h_check(g):
-    """The (r*d) x (k+d) check matrix K_g with H_g = {v : v*K_g = 0}.
+def _entry_solver(m):
+    """The RowSolver of m - 1, for one entry m of a tuple."""
+    return RowSolver(m - Matrix.identity(m.field, m.rows))
 
-    Block row i holds a basis N_i of the right kernel of g_i - 1 in its
-    own k_i columns (v_i is in Im(g_i - 1) iff v_i*N_i = 0), and the last
-    d columns hold S_i = g_(i+1)*...*g_r (the cocycle relation).
-    """
+
+def _check_matrix(g, kernels):
+    """K_g from kernels[i], a basis of the right kernel of each g_i - 1."""
     d, zero = g.dim, g.field.zero()
-    ident = Matrix.identity(g.field, d)
-    kernels = [kernel_left((m - ident).transpose()).basis for m in g.mats]
     k = sum(len(n) for n in kernels)
     rows, col = [], 0
     for n, s in zip(kernels, g.suffix_products()):
@@ -108,6 +113,16 @@ def h_check(g):
             rows.append(row + list(s.row(a)))
         col += len(n)
     return Matrix.from_rows(g.field, rows)
+
+
+def h_check(g):
+    """The (r*d) x (k+d) check matrix K_g with H_g = {v : v*K_g = 0}.
+
+    Block row i holds a basis N_i of the right kernel of g_i - 1 in its
+    own k_i columns (v_i is in Im(g_i - 1) iff v_i*N_i = 0), and the last
+    d columns hold S_i = g_(i+1)*...*g_r (the cocycle relation).
+    """
+    return _check_matrix(g, [_entry_solver(m).right_kernel() for m in g.mats])
 
 
 def h_space(g):
@@ -130,16 +145,18 @@ def e_space(g):
 
 
 class WSpace:
-    """H_g, its check matrix K, E_g and a deterministic chart for W_g."""
+    """H_g, its check matrix K, E_g, a deterministic chart for W_g and the
+    RowSolver of each g_i - 1 (see the module docstring)."""
 
-    __slots__ = ("tuple", "H", "E", "chart", "K")
+    __slots__ = ("tuple", "H", "E", "chart", "K", "solvers")
 
-    def __init__(self, g, H, E, chart, K):
+    def __init__(self, g, H, E, chart, K, solvers):
         self.tuple = g
         self.H = H
         self.E = E
         self.chart = chart
         self.K = K
+        self.solvers = solvers
 
     @property
     def dim(self):
@@ -151,10 +168,11 @@ class WSpace:
 
 
 def w_space(g):
-    K = h_check(g)
+    solvers = [_entry_solver(m) for m in g.mats]
+    K = _check_matrix(g, [s.right_kernel() for s in solvers])
     H = kernel_left(K)
     E = e_space(g)
-    return WSpace(g, H, E, quotient_chart(H, E), K)
+    return WSpace(g, H, E, quotient_chart(H, E), K, solvers)
 
 
 def dual_tuple(g):

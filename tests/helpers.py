@@ -1,14 +1,17 @@
 """Seeded random generators shared across the test suite.
 
 Every generator takes an explicit random.Random so a failing case can be
-replayed from the seed printed by the calling test.
+replayed from the seed printed by the calling test; check_cases is a
+fixed, seeded set of tuples whose entries g_i - 1 have kernels or not.
 """
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 from parcoh.braid import BraidWord
 from parcoh.cyclo import CycloField
-from parcoh.linalg import Matrix, vec_add, vec_scale
+from parcoh.linalg import Matrix, block_diag, vec_add, vec_scale
 from parcoh.tuples import MatTuple
 
 
@@ -121,3 +124,47 @@ def rand_braid(strands, rng, length=None):
 
 def rand_rational(rng, span=4):
     return Fraction(rng.randint(-span, span), rng.choice([1, 2, 3]))
+
+
+def with_identity_blocks(g, rng):
+    """g with the identity inserted at two random places: g_i = 1 gives
+    the check matrix d kernel columns for that block."""
+    mats = list(g.mats)
+    for _ in range(2):
+        mats.insert(rng.randint(0, len(mats)), Matrix.identity(g.field, g.dim))
+    return MatTuple(g.field, g.dim, mats)
+
+
+def plus_trivial_block(g):
+    """The direct sum g + 1: every g_i - 1 has a one-dimensional kernel."""
+    one = Matrix.identity(g.field, 1)
+    return MatTuple(g.field, g.dim + 1,
+                    [block_diag(g.field, [m, one]) for m in g.mats])
+
+
+@lru_cache(maxsize=None)
+def check_cases():
+    """Rank-one, SL_2 and random d = 1..3 tuples, tuples with g_i = 1
+    entries and direct sums with a trivial block (the last two, and the
+    all-identity tuple, are the ones whose check matrix has kernel
+    columns)."""
+    rng = random.Random(308)
+    cases = []
+    for n in (3, 4, 5, 12):
+        cases.append(unit_scalar_tuple(CycloField(n), rng.randint(3, 7),
+                                       rng)[0])
+    for n in (3, 4):
+        cases.append(sl2_tuple(CycloField(n), rng.randint(3, 5), rng))
+    for n in (1, 3, 4):
+        for d in (1, 2, 3):
+            cases.append(rand_tuple(CycloField(n), rng.randint(3, 5), d, rng))
+    for n, d in ((1, 2), (3, 1), (3, 2), (4, 3)):
+        cases.append(with_identity_blocks(
+            rand_tuple(CycloField(n), 3, d, rng), rng))
+    for n in (3, 5):
+        h, _ = unit_scalar_tuple(CycloField(n), 4, rng)
+        cases.append(plus_trivial_block(h))
+    cases.append(plus_trivial_block(sl2_tuple(CycloField(3), 3, rng)))
+    F = CycloField(3)
+    cases.append(MatTuple(F, 2, [Matrix.identity(F, 2)] * 3))
+    return tuple(cases)

@@ -9,6 +9,7 @@ import pytest
 from parcoh import cli, picard
 from parcoh.cyclo import CycloElem, format_element
 from parcoh.errors import ShapeMismatch
+from parcoh.linalg import Matrix
 from parcoh.problem import MAX_FIELD_DEGREE
 
 PICARD = "problems/picard.json"
@@ -102,6 +103,36 @@ def test_verify_passes_on_shipped_files(capsys):
         assert code == 0, err
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+
+def _doubled_letter_factor(real, positive_letters):
+    """_walk with one factor of each positive (or each inverse) letter
+    doubled: 1 - b^-1 a b becomes 1 - 2 b^-1 a b, or (b - 1) a^-1 becomes
+    2 (b - 1) a^-1."""
+    def walk(g, beta, invs=None):
+        moved, steps = real(g, beta, invs)
+        ident = Matrix.identity(g.field, g.dim)
+        out = []
+        for i, top, bottom, positive in steps:
+            if positive and positive_letters:
+                bottom = bottom + bottom - ident
+            elif not positive and not positive_letters:
+                top = top + top
+            out.append((i, top, bottom, positive))
+        return moved, out
+    return walk
+
+
+@pytest.mark.parametrize("positive_letters", [True, False])
+def test_verify_fails_on_a_wrong_letter_rule(monkeypatch, capsys,
+                                             positive_letters):
+    monkeypatch.setattr(cli, "_walk",
+                        _doubled_letter_factor(cli._walk, positive_letters))
+    code, out, err = _run(["verify", PICARD], capsys)
+    assert code == 5
+    lines = out.splitlines()
+    assert "FAIL H preserved by braid letters" in lines
+    assert "FAIL E preserved by braid letters" in lines
 
 
 def test_picard_command(capsys):
@@ -280,6 +311,36 @@ def test_conjugate_literal_must_parse(capsys):
     code, _, err = _run(
         ["monodromy", PICARD, "--conjugate", '[["z"]]'], capsys)
     assert code == 2  # wrong shape for a 3-dimensional W
+
+
+@pytest.mark.parametrize("value", [1, 1.5, None])
+@pytest.mark.parametrize("where", ["tuple", "chi", "form.J", "--conjugate"])
+def test_non_string_matrix_entry_exits_2(where, value, tmp_path, capsys):
+    doc = {
+        "field": {"cyclotomic_order": 3},
+        "dimension": 1,
+        "tuple": [[["z"]], [["z"]], [["z"]]],
+    }
+    label, size = where, 1
+    if where == "tuple":
+        doc["tuple"][2] = [[value]]
+        label = "tuple[2]"
+    elif where == "chi":
+        doc["braids"], doc["chi"] = {"t": "b1^2"}, {"t": [[value]]}
+        label = "chi[t]"
+    elif where == "form.J":
+        doc["form"] = {"kind": "hermitian", "J": [[value]]}
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc))
+    argv = ["w-basis", str(path)]
+    if where == "--conjugate":
+        lits = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        lits[1][1] = value
+        argv, size = ["monodromy", PICARD, "--conjugate", json.dumps(lits)], 3
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: %s: expected %dx%d rows of literals\n" % (
+        label, size, size)
 
 
 @pytest.mark.parametrize("r", [4, 5, 6, 7])

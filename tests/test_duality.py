@@ -9,13 +9,15 @@ from math import lcm
 
 import pytest
 
-from helpers import (rand_combo, rand_element, rand_h_elem, rand_invertible,
-                     rand_tuple, sl2_tuple, unit_scalar_tuple)
+from helpers import (check_cases, plus_trivial_block, rand_combo,
+                     rand_element, rand_h_elem, rand_invertible, rand_tuple,
+                     sl2_tuple, unit_scalar_tuple)
 from oracles import cup_chain_oracle, numeric_signature
+from parcoh import duality, linalg, picard, tuples
 from parcoh.cyclo import CycloField, parse_element
-from parcoh.duality import (SesquiData, cup_pairing, cycle_to_cocycle,
-                            gram_on_W, lift_parabolic, predicted_signature,
-                            signature)
+from parcoh.duality import (SesquiData, _dual_check, cup_pairing,
+                            cycle_to_cocycle, gram_on_W, lift_parabolic,
+                            predicted_signature, signature)
 from parcoh.errors import (FormNotInvariant, NonzeroH0, NotHermitian,
                            NotParabolic, TupleMismatch)
 from parcoh.linalg import (Matrix, kernel_left, vec_add, vec_conj, vec_mat,
@@ -505,3 +507,48 @@ def test_signature_formula_in_a_degree_six_field():
         sig = signature(res.G)
         assert sig.nullity == 0
         assert sig.as_pair() == predicted_signature(g)
+
+
+def test_dual_check_is_read_off_the_solvers_of_g():
+    # check_cases has entries with k_i > 0 (g_i = 1, g + 1 and shears);
+    # for a shear the left and the right kernel of g_i - 1 differ
+    kernels = 0
+    for g in check_cases():
+        ws = w_space(g)
+        gs = dual_tuple(g)
+        assert kernel_left(_dual_check(ws, gs)) == h_space(gs), g
+        kernels += sum(len(s.left_kernel()) for s in ws.solvers)
+    assert kernels > 0
+
+
+def _gram_cases():
+    rng = random.Random(618)
+    F = CycloField(3)
+    alt = Matrix.from_rows(F, [[F.zero(), F.one()], [-F.one(), F.zero()]])
+    g, _ = unit_scalar_tuple(CycloField(5), 5, rng)
+    return [(picard.picard_tuple(), picard.hermitian_form()),
+            (sl2_tuple(F, 4, rng), SesquiData("bilinear-alternating", alt)),
+            (plus_trivial_block(g),
+             SesquiData("hermitian", Matrix.identity(g.field, 2)))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_gram_eliminates_each_entry_once(monkeypatch, case):
+    """One RowSolver per g_i - 1 and one kernel_left, for H, per Gram."""
+    g, form = _gram_cases()[case]
+    counts = {"RowSolver": 0, "kernel_left": 0}
+    real_init, real_kernel = linalg.RowSolver.__init__, linalg.kernel_left
+
+    def init(self, a):
+        counts["RowSolver"] += 1
+        real_init(self, a)
+
+    def kernel(a):
+        counts["kernel_left"] += 1
+        return real_kernel(a)
+
+    monkeypatch.setattr(linalg.RowSolver, "__init__", init)
+    for mod in (linalg, tuples, duality):
+        monkeypatch.setattr(mod, "kernel_left", kernel)
+    gram_on_W(g, form)
+    assert counts == {"RowSolver": g.r, "kernel_left": 1}

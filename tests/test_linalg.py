@@ -242,6 +242,18 @@ def test_row_solver_matches_the_augmented_oracle(a, data):
                 assert vec_mat(want, a) == b
 
 
+@ELIMINATION
+@given(_any_matrix())
+def test_row_solver_kernels_span_both_kernels(a):
+    # non-square and rank-deficient a have kernels on one or both sides
+    solver = RowSolver(a)
+    left, right = solver.left_kernel(), solver.right_kernel()
+    want_left, want_right = kernel_left(a), kernel_left(a.transpose())
+    assert (len(left), len(right)) == (want_left.dim, want_right.dim)
+    assert Subspace.from_rows(a.field, a.rows, left) == want_left
+    assert Subspace.from_rows(a.field, a.cols, right) == want_right
+
+
 @PROPERTY
 @given(st.data())
 def test_product_entries_are_row_column_dots(data):

@@ -1,17 +1,17 @@
 """Tuple validation and the cocycle spaces H, E, W."""
 
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_h_elem, rand_tuple, sl2_tuple, unit_scalar_tuple
+from helpers import (check_cases, rand_h_elem, rand_tuple, sl2_tuple,
+                     unit_scalar_tuple)
 from oracles import h_space_oracle
 from parcoh.cyclo import CycloField
 from parcoh.errors import ProductNotOne, TooFewPoints, TupleError
-from parcoh.linalg import Matrix, block_diag, vec_add, vec_mat
+from parcoh.linalg import Matrix, vec_add, vec_mat
 from parcoh.tuples import (MatTuple, common_fixed_space, dual_tuple, e_space,
                            h_check, h_space, validate_tuple, w_space)
 
@@ -163,52 +163,8 @@ def test_suffix_products():
 # H as the left kernel of the check matrix K_g
 
 
-def _with_identity_blocks(g, rng):
-    """g with the identity inserted at two random places: g_i = 1 gives
-    the check matrix d kernel columns for that block."""
-    mats = list(g.mats)
-    for _ in range(2):
-        mats.insert(rng.randint(0, len(mats)), Matrix.identity(g.field, g.dim))
-    return MatTuple(g.field, g.dim, mats)
-
-
-def _plus_trivial_block(g):
-    """The direct sum g + 1: every g_i - 1 has a one-dimensional kernel."""
-    one = Matrix.identity(g.field, 1)
-    return MatTuple(g.field, g.dim + 1,
-                    [block_diag(g.field, [m, one]) for m in g.mats])
-
-
-@lru_cache(maxsize=None)
-def _check_cases():
-    """Rank-one, SL_2 and random d = 1..3 tuples, tuples with g_i = 1
-    entries and direct sums with a trivial block (the last two, and the
-    all-identity tuple, are the ones whose check matrix has kernel
-    columns)."""
-    rng = random.Random(308)
-    cases = []
-    for n in (3, 4, 5, 12):
-        cases.append(unit_scalar_tuple(CycloField(n), rng.randint(3, 7),
-                                       rng)[0])
-    for n in (3, 4):
-        cases.append(sl2_tuple(CycloField(n), rng.randint(3, 5), rng))
-    for n in (1, 3, 4):
-        for d in (1, 2, 3):
-            cases.append(rand_tuple(CycloField(n), rng.randint(3, 5), d, rng))
-    for n, d in ((1, 2), (3, 1), (3, 2), (4, 3)):
-        cases.append(_with_identity_blocks(
-            rand_tuple(CycloField(n), 3, d, rng), rng))
-    for n in (3, 5):
-        h, _ = unit_scalar_tuple(CycloField(n), 4, rng)
-        cases.append(_plus_trivial_block(h))
-    cases.append(_plus_trivial_block(sl2_tuple(CycloField(3), 3, rng)))
-    F = CycloField(3)
-    cases.append(MatTuple(F, 2, [Matrix.identity(F, 2)] * 3))
-    return tuple(cases)
-
-
 def test_h_space_matches_the_block_image_oracle():
-    cases = _check_cases()
+    cases = check_cases()
     kernel_columns = 0
     for g in cases:
         H = h_space(g)
@@ -229,7 +185,7 @@ def test_h_space_matches_the_block_image_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_check_matrix_decides_h_membership(data):
-    ws = w_space(data.draw(st.sampled_from(_check_cases())))
+    ws = w_space(data.draw(st.sampled_from(check_cases())))
     F, n = ws.tuple.field, ws.tuple.r * ws.tuple.dim
     v = tuple(F.zero() for _ in range(n))
     for row in ws.H.basis:
