@@ -19,12 +19,15 @@ column k):
     b_i^-1:  T_i     <- T_i (b - 1) a^-1 + T_(i+1) a^-1
              T_(i+1) <- T_i
 
-phi_on_H moves the r*d identity rows.  The monodromy moves only the
-dim H + dim E basis rows of W = H/E and multiplies each d-block of a row
-by chi for Psi(g, chi), skipping Psi(g, 1), which is the identity.  A
-generator with a word of L letters then costs O(L*(dim H + dim E)*d^2)
-field operations plus one chart read, where building and applying the
-dense Phi cost O(L*(r*d)*d^2) + O((r*d)^3).
+A walk forms the letters' products on the entries' row-major tuples
+(four d x d products per letter) and makes matrices only of the two
+factors it hands to _move_rows.  phi_on_H moves the r*d identity rows.
+The monodromy moves only the dim H + dim E basis rows of W = H/E and
+multiplies each d-block of a row by chi for Psi(g, chi), skipping
+Psi(g, 1), which is the identity.  A generator with a word of L
+letters then costs O(L*(dim H + dim E)*d^2 + L*d^3) field operations
+plus one chart read, where building and applying the dense Phi cost
+O(L*(r*d)*d^2) + O((r*d)^3).
 """
 
 import re
@@ -123,27 +126,43 @@ def _walk(g, beta, invs=None):
 
     invs defaults to the inverses of g's entries.  Returns g^beta and,
     per letter, (i, top, bottom, positive): the factors with which
-    _move_rows rewrites block columns i and i+1 (i is 0-based).
+    _move_rows rewrites block columns i and i+1 (i is 0-based).  The
+    products are formed on the row-major entries, O(d^3) field
+    operations each, and only the factors become matrices.
     """
     _check_strands(g, beta)
     if invs is None:
         invs = [m.inverse() for m in g.mats]
-    mats, invs = list(g.mats), list(invs)
-    ident = Matrix.identity(g.field, g.dim)
+    F, d = g.field, g.dim
+    zero, one = F.zero(), Matrix.identity(F, d).entries
+
+    def times(x, y):
+        out = []
+        for k in range(0, d * d, d):
+            out += _row_times(x[k:k + d], y, d, zero)
+        return out
+
+    mats = [m.entries for m in g.mats]
+    invs = [m.entries for m in invs]
     steps = []
     for idx, exp in beta.letters:
         i = idx - 1
         a, b, ainv, binv = mats[i], mats[i + 1], invs[i], invs[i + 1]
         if exp == 1:
-            moved = binv * a * b
+            moved = times(times(binv, a), b)
             mats[i], mats[i + 1] = b, moved
-            invs[i], invs[i + 1] = binv, binv * ainv * b
-            steps.append((i, b, ident - moved, True))
+            invs[i], invs[i + 1] = binv, times(times(binv, ainv), b)
+            top = b
+            bottom = [x - y for x, y in zip(one, moved)]
         else:
-            mats[i], mats[i + 1] = a * b * ainv, a
-            invs[i], invs[i + 1] = a * binv * ainv, ainv
-            steps.append((i, (b - ident) * ainv, ainv, False))
-    return type(g)(g.field, g.dim, mats), steps
+            b_ainv = times(b, ainv)
+            mats[i], mats[i + 1] = times(a, b_ainv), a
+            invs[i], invs[i + 1] = times(times(a, binv), ainv), ainv
+            top = [x - y for x, y in zip(b_ainv, ainv)]
+            bottom = ainv
+        steps.append((i, Matrix(F, d, d, top), Matrix(F, d, d, bottom),
+                      exp == 1))
+    return type(g)(F, d, [Matrix(F, d, d, m) for m in mats]), steps
 
 
 def _move_rows(rows, steps, d):

@@ -4,6 +4,16 @@ Subcommands: w-basis, monodromy, gram, verify, picard.  All output is
 exact element literals, either human-readable text or --json.  Exit
 codes: 0 ok, 1 usage, 2 tuple/file validation, 3 compatibility,
 4 form, 5 golden or library-invariant mismatch.
+
+verify builds one context per call and its checks share it: W of the
+tuple, the inverses of the entries (g* is their transposes), one walk
+per file word (the compatibility lines and the W form check read the
+same walks) and a dict from each entry h of a moved tuple to the right
+kernel of h - 1, seeded from W's solvers, so a letter check eliminates
+only the entries the letter creates.  A library error raised inside a
+check (exit-5 class) is that check's FAIL line with the error text, so
+the remaining checks still run and --json always prints its document;
+input errors keep their own exit codes.
 """
 
 import argparse
@@ -16,16 +26,18 @@ from .cyclo import format_element
 from .duality import (_blocks, _dual_check, _lift, cup_pairing, gram_on_W,
                       predicted_signature, signature)
 from .errors import (BraidSyntaxError, DoesNotPreserveE, FieldInvariantError,
-                     FormNotInvariant, IncompatibleSpec, LiteralSyntaxError,
-                     NonzeroH0, NotASubspace, NotHermitian, NotParabolic,
-                     NotRootOfUnity, ProblemFileError, ShapeMismatch,
-                     StrandMismatch, TupleError, TupleMismatch,
-                     UnknownGenerator)
+                     FieldMismatch, FormNotInvariant, IncompatibleSpec,
+                     LiteralSyntaxError, NoEmbedding, NonzeroH0, NotASubspace,
+                     NotHermitian, NotParabolic, NotReal, NotRootOfUnity,
+                     ProblemFileError, ShapeMismatch, StrandMismatch,
+                     TupleError, TupleMismatch, UnknownGenerator)
 from .linalg import Matrix, kernel_left, vec_add, vec_mat
-from .monodromy import VariationSpec, check_compatibility, monodromy_generators
+from .monodromy import (VariationSpec, _generators, _walks,
+                        check_compatibility, monodromy_generators)
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
                       vector_to_json)
-from .tuples import dual_tuple, e_space, h_check, w_space
+from .tuples import (MatTuple, _check_matrix, _entry_solver, e_space,
+                     w_space)
 
 
 def _fmt_vec(v):
@@ -240,20 +252,47 @@ def artin_relations(r):
     return out
 
 
+# errors that mean the library broke one of its own invariants (exit 5):
+# inside a check of verify, such an error is that check's FAIL
+_LIBRARY_ERRORS = (DoesNotPreserveE, FieldInvariantError, FieldMismatch,
+                   NoEmbedding, NotReal, ShapeMismatch)
+
+
+def _outcomes(names, check):
+    """The lines (name, ok, 5) of the checks that check() runs together,
+    one ok per name; a library error raised inside it fails each of them,
+    with the error text."""
+    try:
+        oks = check()
+    except _LIBRARY_ERRORS as e:
+        return [("%s (%s)" % (name, e), False, 5) for name in names]
+    return [(name, ok, 5) for name, ok in zip(names, oks)]
+
+
 def _verify_checks(problem):
-    """Yield (name, ok, exit_code_on_failure) for the invariant suite."""
+    """Yield (name, ok, exit_code_on_failure) for the invariant suite.
+
+    One context serves every check: W of g, the inverses of its entries
+    (which also give g* = (g_i^-1)^T), one walk per file word, and the
+    right kernel of h - 1 for each distinct entry h of the moved tuples.
+    """
     g = problem.tuple
     r, d = g.r, g.dim
-    ws = w_space(g)
+    try:
+        ws = w_space(g)
+        invs = [m.inverse() for m in g.mats]
+    except _LIBRARY_ERRORS as e:
+        yield ("building W (%s)" % e, False, 5)
+        return
+    H, E = ws.H, ws.E
     yield ("tuple validation", True, 2)
 
+    spec = walks = None
     if problem.generators is not None:
         spec = VariationSpec(g, problem.generators)
-        for name, ok, bad in check_compatibility(spec):
-            yield ("compatibility %s" % name, ok, 3)
-
-    H = ws.H
-    invs = [m.inverse() for m in g.mats]
+        walks = _walks(spec, invs)
+        for name, _, _, bad in walks:
+            yield ("compatibility %s" % name, bad is None, 3)
 
     def moved(beta, basis):
         """g^beta and the rows of basis moved by Phi(g, beta)."""
@@ -263,39 +302,52 @@ def _verify_checks(problem):
         return tup, rows
 
     # Artin relations, as maps on H
-    ok = all(moved(left, H.basis)[1] == moved(right, H.basis)[1]
-             for left, right in artin_relations(r))
-    yield ("braid relations on H", ok, 5)
+    yield from _outcomes(("braid relations on H",), lambda: (all(
+        moved(left, H.basis)[1] == moved(right, H.basis)[1]
+        for left, right in artin_relations(r)),))
 
-    # each letter b_i^(+-1) maps H into H and E into E of the moved tuple
-    h_ok = e_ok = True
-    for i in range(1, r - 1):
-        for e in (1, -1):
-            tup, rows = moved(BraidWord(r - 1, [(i, e)]), H.basis + ws.E.basis)
-            K, Emoved = h_check(tup), e_space(tup)
-            h_ok = h_ok and not any(any(vec_mat(v, K)) for v in rows[:H.dim])
-            e_ok = e_ok and all(Emoved.contains(v) for v in rows[H.dim:])
-    yield ("H preserved by braid letters", h_ok, 5)
-    yield ("E preserved by braid letters", e_ok, 5)
+    # each letter b_i^(+-1) maps H into H and E into E of the moved tuple;
+    # K of the moved tuple eliminates only the entries not seen before
+    kernels = {m: s.right_kernel() for m, s in zip(g.mats, ws.solvers)}
 
-    # cup value does not depend on the choice of lifts; the lifts, their
-    # shifts (the left kernels of g_i - 1) and H(g*) all come from the
-    # solvers of g_i - 1 that w_space kept
-    gs = dual_tuple(g)
-    Hs = kernel_left(_dual_check(ws, gs))
-    ok = True
-    if H.dim and Hs.dim:
-        phi_elt, psi_elt = Hs.basis[0], H.basis[-1]
-        lifts = [_lift(solver, b)
-                 for solver, b in zip(ws.solvers, _blocks(psi_elt, r, d))]
-        value = cup_pairing(gs, g, phi_elt, psi_elt, lifts=lifts)
-        for i, solver in enumerate(ws.solvers):
-            for kv in solver.left_kernel():
-                shifted = list(lifts)
-                shifted[i] = vec_add(shifted[i], kv)
-                ok = ok and cup_pairing(gs, g, phi_elt, psi_elt,
-                                        lifts=shifted) == value
-    yield ("cup independent of lifts", ok, 5)
+    def letters():
+        h_ok = e_ok = True
+        for i in range(1, r - 1):
+            for e in (1, -1):
+                tup, rows = moved(BraidWord(r - 1, [(i, e)]),
+                                  H.basis + E.basis)
+                for m in tup.mats:
+                    if m not in kernels:
+                        kernels[m] = _entry_solver(m).right_kernel()
+                K = _check_matrix(tup, [kernels[m] for m in tup.mats])
+                Emoved = e_space(tup)
+                h_ok = h_ok and not any(any(vec_mat(v, K))
+                                        for v in rows[:H.dim])
+                e_ok = e_ok and all(Emoved.contains(v) for v in rows[H.dim:])
+        return h_ok, e_ok
+    yield from _outcomes(("H preserved by braid letters",
+                          "E preserved by braid letters"), letters)
+
+    def cup():
+        """The cup value does not depend on the choice of lifts; the lifts,
+        their shifts (the left kernels of g_i - 1) and H(g*) all come from
+        the solvers of g_i - 1 that w_space kept."""
+        gs = MatTuple(g.field, d, [m.transpose() for m in invs])
+        Hs = kernel_left(_dual_check(ws, gs))
+        ok = True
+        if H.dim and Hs.dim:
+            phi_elt, psi_elt = Hs.basis[0], H.basis[-1]
+            lifts = [_lift(solver, b)
+                     for solver, b in zip(ws.solvers, _blocks(psi_elt, r, d))]
+            value = cup_pairing(gs, g, phi_elt, psi_elt, lifts=lifts)
+            for i, solver in enumerate(ws.solvers):
+                for kv in solver.left_kernel():
+                    shifted = list(lifts)
+                    shifted[i] = vec_add(shifted[i], kv)
+                    ok = ok and cup_pairing(gs, g, phi_elt, psi_elt,
+                                            lifts=shifted) == value
+        return (ok,)
+    yield from _outcomes(("cup independent of lifts",), cup)
 
     if problem.form is not None:
         try:
@@ -305,15 +357,17 @@ def _verify_checks(problem):
         except FormNotInvariant as e:
             yield ("form invariance on V (%s)" % e, False, 4)
             form_ok = False
-        if form_ok and problem.generators is not None and ws.dim:
-            G = gram_on_W(g, problem.form).G
-            hermitian = problem.form.kind == "hermitian"
-            ok = True
-            for _, m in monodromy_generators(spec).images:
-                m = m.coerce(G.field)
-                left = m.conj() if hermitian else m
-                ok = ok and left * G * m.transpose() == G
-            yield ("monodromy preserves the W form", ok, 5)
+        if form_ok and spec is not None and ws.dim:
+            def w_form():
+                G = gram_on_W(g, problem.form).G
+                hermitian = problem.form.kind == "hermitian"
+                ok = True
+                for _, m in _generators(spec, walks).images:
+                    m = m.coerce(G.field)
+                    left = m.conj() if hermitian else m
+                    ok = ok and left * G * m.transpose() == G
+                return (ok,)
+            yield from _outcomes(("monodromy preserves the W form",), w_form)
 
 
 def cmd_verify(args):
@@ -425,7 +479,7 @@ def main(argv=None):
     except (FormNotInvariant, NotHermitian) as e:
         _err(str(e))
         return 4
-    except (DoesNotPreserveE, FieldInvariantError, ShapeMismatch) as e:
+    except _LIBRARY_ERRORS as e:
         _err(str(e))
         return 5
 

@@ -470,16 +470,21 @@ class CycloElem:
 
 
 def format_element(x):
-    parts = []
+    """The literal of x, highest power of z first, each coefficient in
+    lowest terms (one gcd with den per nonzero coefficient)."""
+    den, parts = x.den, []
     for k in range(x.field.degree - 1, -1, -1):
-        c = x.coeffs[k]
+        c = x.num[k]
         if not c:
             continue
+        a = abs(c)
+        g = gcd(a, den)
+        mag = str(a // g) if g == den else "%d/%d" % (a // g, den // g)
         if k == 0:
-            body = str(abs(c))
+            body = mag
         else:
             zp = "z" if k == 1 else "z^%d" % k
-            body = zp if abs(c) == 1 else "%s*%s" % (abs(c), zp)
+            body = zp if a == den else "%s*%s" % (mag, zp)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

@@ -16,6 +16,13 @@ of right sides b and reads a basis of each kernel of a off that pass.
 Each costs O(m*N*rank) field operations (the solver's transform adds
 O(m^2*rank)), where tracking an N x N identity through the rows of a
 and then putting the kernel rows in RREF cost O(N^2*(N+m)).
+
+A quotient chart of ambient/sub works in the ambient space's own
+coordinates, which an RREF basis gives for free: v = sum_k v[p_k]*basis[k]
+over its pivots p_k.  quotient_chart eliminates the sub rows' coordinates
+once, with pivots taken from the right, and a chart read is then
+O(dim sub * dim quotient) field operations, with no elimination or
+reduction in the N ambient columns.
 """
 
 from .errors import NotASubspace, NotInvertible, ShapeMismatch
@@ -450,17 +457,23 @@ class Subspace:
 class QuotientChart:
     """A chart for ambient/sub: representatives and a coordinate map.
 
-    The representatives are the ambient basis rows at positions.
+    The ambient basis is in RREF with pivots p_k, so v in the ambient
+    space is sum_k v[p_k]*basis[k]: its ambient coordinates are read off
+    the pivots.  In those coordinates the sub rows, eliminated once with
+    pivots taken from the right, are rows R_t with last nonzero entry 1
+    at q_t.  The representatives are the ambient basis rows at the
+    positions k that are no q_t.
     """
 
-    __slots__ = ("ambient", "sub", "positions", "reps", "_solver")
+    __slots__ = ("ambient", "sub", "positions", "reps", "_at", "_eqs")
 
-    def __init__(self, ambient, sub, positions):
+    def __init__(self, ambient, sub, positions, at, eqs):
         self.ambient = ambient
         self.sub = sub
         self.positions = positions
         self.reps = tuple(ambient.basis[k] for k in positions)
-        self._solver = None
+        self._at = at      # the pivot p_k of each position k
+        self._eqs = eqs    # (p_(q_t), R_t at the positions) per sub row
 
     @property
     def dim(self):
@@ -469,11 +482,10 @@ class QuotientChart:
     def coords(self, v):
         """Coordinates of v in the representatives, modulo sub.
 
-        v must lie in the ambient space.  The rows reps + sub are
-        independent, so with their RREF rows R_i (pivot p_i) and the
-        transform rows T_i (R_i = T_i * stacked), the coefficients of v
-        are the unique sum over i of v[p_i] * T_i; only the first
-        len(reps) columns of T are kept.
+        v must lie in the ambient space.  Subtracting v[p_(q_t)]*R_t for
+        every t clears the coordinates at the q_t and changes v only by
+        an element of sub, so what is left at the positions is the
+        answer: O(dim sub * dim W) field operations.
         """
         if not self.ambient.contains(v):
             raise NotASubspace("vector is not in the ambient space")
@@ -481,18 +493,13 @@ class QuotientChart:
 
     def _coords(self, v):
         """coords(v) for a v already known to lie in the ambient space."""
-        field, k = self.ambient.field, len(self.reps)
-        if self._solver is None:
-            rows = [list(r) for r in self.reps + self.sub.basis]
-            zero, one = field.zero(), field.one()
-            track = [[one if i == j else zero for j in range(k)]
-                     for i in range(len(rows))]
-            self._solver = tuple(zip(_rref_rows(rows, track), track))
-        out = [field.zero()] * k
-        for p, t in self._solver:
+        out = [v[p] for p in self._at]
+        for p, eq in self._eqs:
             c = v[p]
             if c:
-                out = [a + c * b if b else a for a, b in zip(out, t)]
+                for j, y in enumerate(eq):
+                    if y:
+                        out[j] = out[j] - c * y
         return tuple(out)
 
 
@@ -500,19 +507,23 @@ def quotient_chart(ambient, sub):
     """Deterministic chart for ambient/sub.
 
     Representatives are the first ambient basis vectors that stay
-    independent modulo sub, in basis order: each basis row is reduced
-    against sub and the normalised remainders of the rows kept so far.
+    independent modulo sub, in basis order.  Basis row k adds to the
+    span exactly when no vector of sub has its last nonzero ambient
+    coordinate at k, so they are read off one elimination of the sub
+    rows' ambient coordinates (see QuotientChart), O(dim sub^2 * dim
+    ambient) field operations after the containment check.
     """
     if not ambient.contains_subspace(sub):
         raise NotASubspace("sub is not contained in ambient")
-    positions = []
-    kept = list(sub.basis)
-    for k, row in enumerate(ambient.basis):
-        rest = _reduce(kept, row)
-        if any(rest):
-            positions.append(k)
-            inv = next(x for x in rest if x).inverse()
-            kept.append(tuple(x * inv for x in rest))
-    if len(positions) != ambient.dim - sub.dim:
+    n = ambient.dim
+    pivots = [next(j for j, x in enumerate(row) if x)
+              for row in ambient.basis]
+    eqs = [[row[p] for p in reversed(pivots)] for row in sub.basis]
+    right = [n - 1 - q for q in _rref_rows(eqs)]
+    positions = tuple(sorted(set(range(n)).difference(right)))
+    if len(positions) != n - sub.dim:
         raise NotASubspace("ambient basis is not independent modulo sub")
-    return QuotientChart(ambient, sub, tuple(positions))
+    return QuotientChart(
+        ambient, sub, positions, tuple(pivots[k] for k in positions),
+        tuple((pivots[q], tuple(eq[n - 1 - k] for k in positions))
+              for q, eq in zip(right, eqs)))

@@ -47,15 +47,16 @@ def _first_mismatch(moved, conj):
     return None
 
 
-def _walks(spec):
+def _walks(spec, invs=None):
     """Per generator (name, twist, steps of its walk, first mismatch).
 
     twist is chi, or None when chi = 1: then Psi(g, chi) is the identity
-    and chi g chi^-1 is g itself.  The entries of g are inverted once
-    for all words.
+    and chi g chi^-1 is g itself.  invs, the inverses of the entries of
+    g, default to inverting them once for all words.
     """
     g = spec.tuple
-    invs = [m.inverse() for m in g.mats]
+    if invs is None:
+        invs = [m.inverse() for m in g.mats]
     one = Matrix.identity(g.field, g.dim)
     out = []
     for name, beta, chi in spec.generators:
@@ -71,14 +72,8 @@ def check_compatibility(spec):
     return [(name, bad is None, bad) for name, _, _, bad in _walks(spec)]
 
 
-def monodromy_generators(spec):
-    """The monodromy matrices of all named generators on W_g.
-
-    Every incompatible name is reported, in spec order, before W is
-    built.  Then the H and E basis rows are moved through each word,
-    twisted by chi unless chi = 1, and read in the W chart.
-    """
-    walks = _walks(spec)
+def _generators(spec, walks):
+    """monodromy_generators(spec) from walks = _walks(spec)."""
     bad = [name for name, _, _, mismatch in walks if mismatch is not None]
     if bad:
         raise IncompatibleSpec("compatibility fails for: %s" % ", ".join(bad))
@@ -92,6 +87,16 @@ def monodromy_generators(spec):
             _twist_rows(rows, twist, d)
         images.append((name, _on_W(rows, ws, ws)))
     return MonodromyRep(ws, images)
+
+
+def monodromy_generators(spec):
+    """The monodromy matrices of all named generators on W_g.
+
+    Every incompatible name is reported, in spec order, before W is
+    built.  Then the H and E basis rows are moved through each word,
+    twisted by chi unless chi = 1, and read in the W chart.
+    """
+    return _generators(spec, _walks(spec))
 
 
 def eta(spec, word):

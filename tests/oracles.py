@@ -7,10 +7,11 @@ complex embedding instead of doing exact congruence reduction, and the
 Phi oracle multiplies dense (r d) x (r d) letter matrices instead of
 updating two block columns per letter, and the field oracles multiply and
 invert with Fraction polynomials (schoolbook product reduced by long
-division, extended Euclid over Q) instead of integer numerators over one
-denominator.  The H oracle intersects the direct sum of the block images
-Im(g_i - 1) with the kernel of the cocycle relation instead of taking
-the left kernel of one check matrix.  The elimination oracles solve
+division, extended Euclid over Q) and print literals from Fraction
+coefficients instead of integer numerators over one denominator.  The H
+oracle intersects the direct sum of the block images Im(g_i - 1) with
+the kernel of the cocycle relation instead of taking the left kernel of
+one check matrix.  The elimination oracles solve
 x*a = b on the augmented matrix [a^T | b^T] instead of one tracked
 elimination of a^T, and take the left kernel from the transform of a
 tracked elimination of the rows of a followed by a second RREF instead
@@ -199,6 +200,25 @@ def fraction_inverse(a):
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
     c = r1[0]
     return _padded([x / c for x in s1], a.field.degree)
+
+
+def format_element_oracle(x):
+    """The element literal, built from the Fraction coefficients."""
+    parts = []
+    for k in range(x.field.degree - 1, -1, -1):
+        c = x.coeffs[k]
+        if not c:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            zp = "z" if k == 1 else "z^%d" % k
+            body = zp if abs(c) == 1 else "%s*%s" % (abs(c), zp)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
 
 
 def h_space_oracle(g):

@@ -1,16 +1,19 @@
 """The command line interface: outputs, JSON shapes, and exit codes."""
 
 import json
+import random
 import time
 from itertools import combinations
 
 import pytest
 
-from parcoh import cli, picard
-from parcoh.cyclo import CycloElem, format_element
-from parcoh.errors import ShapeMismatch
+from helpers import plus_trivial_block, sl2_tuple
+from parcoh import cli, linalg, monodromy, picard, tuples
+from parcoh.cyclo import CycloElem, CycloField, format_element
+from parcoh.errors import (FieldInvariantError, FieldMismatch, NoEmbedding,
+                           NotReal, ShapeMismatch)
 from parcoh.linalg import Matrix
-from parcoh.problem import MAX_FIELD_DEGREE
+from parcoh.problem import MAX_FIELD_DEGREE, matrix_to_json
 
 PICARD = "problems/picard.json"
 CONJUGATE = "problems/picard_conjugate.json"
@@ -105,6 +108,20 @@ def test_verify_passes_on_shipped_files(capsys):
         assert "all checks passed" in out
 
 
+def test_verify_passes_on_tuples_with_kernel_columns(tmp_path, capsys):
+    # non-commuting entries whose g_i - 1 have kernels: a letter check
+    # needs the kernels of entries that g does not have
+    rng = random.Random(1212)
+    for g in (sl2_tuple(CycloField(3), 5, rng),
+              plus_trivial_block(sl2_tuple(CycloField(4), 4, rng))):
+        doc = {"field": {"cyclotomic_order": g.field.n}, "dimension": g.dim,
+               "tuple": [matrix_to_json(m) for m in g.mats]}
+        path = tmp_path / "kernels.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(["verify", str(path)], capsys)
+        assert code == 0, out + err
+
+
 def _doubled_letter_factor(real, positive_letters):
     """_walk with one factor of each positive (or each inverse) letter
     doubled: 1 - b^-1 a b becomes 1 - 2 b^-1 a b, or (b - 1) a^-1 becomes
@@ -133,6 +150,61 @@ def test_verify_fails_on_a_wrong_letter_rule(monkeypatch, capsys,
     lines = out.splitlines()
     assert "FAIL H preserved by braid letters" in lines
     assert "FAIL E preserved by braid letters" in lines
+
+
+def test_verify_reports_a_library_error_as_fail(monkeypatch, capsys):
+    # with the doubled factor in the monodromy's walk too, building the
+    # monodromy raises DoesNotPreserveE inside the W form check
+    for module in (cli, monodromy):
+        monkeypatch.setattr(module, "_walk",
+                            _doubled_letter_factor(module._walk, True))
+    code, out, err = _run(["verify", PICARD, "--json"], capsys)
+    assert code == 5
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert {"name": "monodromy preserves the W form (image of an H basis "
+                    "vector leaves H)", "ok": False} in doc["checks"]
+    code, out, err = _run(["verify", PICARD], capsys)
+    assert code == 5
+    assert "Traceback" not in err
+    assert out.splitlines()[-1] == ("FAIL monodromy preserves the W form "
+                                    "(image of an H basis vector leaves H)")
+
+
+def test_verify_reports_a_library_error_in_building_w(monkeypatch, capsys):
+    def broken(g):
+        raise FieldInvariantError("Phi_3 is not monic")
+
+    monkeypatch.setattr(cli, "w_space", broken)
+    code, out, err = _run(["verify", PICARD, "--json"], capsys)
+    assert (code, err) == (5, "")
+    assert json.loads(out) == {"ok": False, "checks": [
+        {"name": "building W (Phi_3 is not monic)", "ok": False}]}
+
+
+def test_verify_builds_one_context(monkeypatch, capsys):
+    """Entries inverted once by verify and once inside gram_on_W; one
+    RowSolver per entry and W (verify, gram_on_W, monodromy); moved
+    tuples reuse the kernels of the entries they share with g."""
+    counts = {"inverse": 0, "RowSolver": 0, "WSpace": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Matrix, "inverse", "inverse")
+    counted(linalg.RowSolver, "__init__", "RowSolver")
+    counted(tuples.WSpace, "__init__", "WSpace")
+    code, _, _ = _run(["verify", PICARD], capsys)
+    assert code == 0
+    assert counts["inverse"] <= 10
+    assert counts["RowSolver"] == 15
+    assert counts["WSpace"] == 3
 
 
 def test_picard_command(capsys):
@@ -365,6 +437,16 @@ def test_shape_mismatch_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(picard, "golden_values", broken)
     code, out, err = _run(["picard"], capsys)
     assert (code, out, err) == (5, "", "error: 3 x 1 times 3 x 1\n")
+
+
+@pytest.mark.parametrize("error", [FieldMismatch, NoEmbedding, NotReal])
+def test_field_errors_exit_5(monkeypatch, capsys, error):
+    def broken(g):
+        raise error("raised by a library call")
+
+    monkeypatch.setattr(cli, "w_space", broken)
+    code, out, err = _run(["w-basis", PICARD], capsys)
+    assert (code, out, err) == (5, "", "error: raised by a library call\n")
 
 
 def test_field_invariant_error_exits_5(monkeypatch, capsys):

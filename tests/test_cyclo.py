@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rand_element, rand_nonzero
-from oracles import fraction_inverse, fraction_mul, sign_oracle
+from oracles import (format_element_oracle, fraction_inverse, fraction_mul,
+                     sign_oracle)
 from parcoh.cyclo import CycloField, format_element, parse_element
 from parcoh.errors import (FieldMismatch, LiteralSyntaxError, NoEmbedding,
                            NotReal)
@@ -407,6 +408,18 @@ def test_conjugate_and_coerce_are_ring_homomorphisms(data):
 def test_format_then_parse_is_the_identity(data):
     F, a = data
     assert parse_element(format_element(a), F) == a
+
+
+@given(st.sampled_from([1, 3, 4, 5, 12, 28]),
+       st.lists(st.one_of(st.just(0), _COEFF), min_size=1, max_size=12),
+       st.integers(2, 36))
+def test_format_matches_the_fraction_oracle(n, coeffs, den):
+    F = CycloField(n)
+    a = F.element(coeffs) / den
+    if a.den == 1:
+        a = a + Fraction(1, den)
+    for x in (a, -a, a * F.zeta(), F.element(coeffs)):
+        assert format_element(x) == format_element_oracle(x)
 
 
 @given(_field_and_elements(2))

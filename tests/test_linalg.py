@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_element, rand_invertible
+from helpers import check_cases, rand_element, rand_h_elem, rand_invertible
 from oracles import kernel_left_oracle, solve_row_oracle
 from parcoh.cyclo import CycloField
 from parcoh.errors import NotASubspace, NotInvertible, ShapeMismatch
 from parcoh.linalg import (Matrix, RowSolver, Subspace, dot, kernel_left,
                            quotient_chart, solve_row, vec_add, vec_is_zero,
                            vec_mat, vec_scale)
+from parcoh.tuples import w_space
 
 
 def _rand_matrix(field, rows, cols, rng, span=2):
@@ -312,24 +313,20 @@ def test_inverse_of_empty_and_one_by_one_matrices():
         zero.inverse()
 
 
-@PROPERTY
-@given(_ambient_and_sub(), st.data())
-def test_chart_coords_match_solving_the_stacked_system(spaces, data):
-    ambient, sub = spaces
+def _assert_chart_coords(ambient, sub, vectors):
+    """coords agree with solving x*(reps + sub) = v for the reps part."""
     chart = quotient_chart(ambient, sub)
     k = len(chart.reps)
     stacked = list(chart.reps) + list(sub.basis)
-    for coeffs in data.draw(_rows(ambient.field, 3, ambient.dim)):
-        v = combo_of(ambient, coeffs, ambient.field)
+    for v in vectors:
         want = solve_row(Matrix.from_rows(ambient.field, stacked), v)[:k] \
             if stacked else ()
         assert chart.coords(v) == want
 
 
-@PROPERTY
-@given(_ambient_and_sub())
-def test_chart_reps_are_where_the_span_grows(spaces):
-    ambient, sub = spaces
+def _assert_chart_reps(ambient, sub):
+    """The reps are the basis rows that grow the span of sub and the rows
+    kept before them."""
     F, n = ambient.field, ambient.ambient_dim
     kept, want = list(sub.basis), []
     for row in ambient.basis:
@@ -340,6 +337,35 @@ def test_chart_reps_are_where_the_span_grows(spaces):
     chart = quotient_chart(ambient, sub)
     assert chart.reps == tuple(want)
     assert chart.dim == ambient.dim - sub.dim
+
+
+@PROPERTY
+@given(_ambient_and_sub(), st.data())
+def test_chart_coords_match_solving_the_stacked_system(spaces, data):
+    ambient, sub = spaces
+    _assert_chart_coords(ambient, sub, [
+        combo_of(ambient, coeffs, ambient.field)
+        for coeffs in data.draw(_rows(ambient.field, 3, ambient.dim))])
+
+
+@PROPERTY
+@given(_ambient_and_sub())
+def test_chart_reps_are_where_the_span_grows(spaces):
+    _assert_chart_reps(*spaces)
+
+
+def test_chart_of_w_matches_the_oracles_on_tuples():
+    """The W charts of the check cases, among them tuples with dim E >= 2
+    whose check matrix has kernel columns (k_i > 0)."""
+    rng = random.Random(1207)
+    wide = 0
+    for g in check_cases():
+        ws = w_space(g)
+        _assert_chart_reps(ws.H, ws.E)
+        _assert_chart_coords(ws.H, ws.E,
+                             [rand_h_elem(ws.H, rng) for _ in range(3)])
+        wide += ws.E.dim >= 2 and ws.K.cols > g.dim
+    assert wide >= 2
 
 
 def test_chart_edge_cases():
