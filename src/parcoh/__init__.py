@@ -6,10 +6,10 @@ the induced monodromy representation, the duality cup pairing with its
 Hermitian refinement, and exact signatures over cyclotomic fields.
 """
 
-from .braid import BraidWord, act_on_tuple, parse_braid, phi_on_H, psi
+from .braid import BraidWord, act_on_tuple, parse_braid, phi_on_H
 from .cyclo import CycloField, format_element, parse_element
-from .duality import (SesquiData, cup_pairing, cycle_to_cocycle, gram_on_W,
-                      lift_parabolic, predicted_signature, signature)
+from .duality import (SesquiData, cup_pairing, gram_on_W, predicted_signature,
+                      signature)
 from .errors import ParcohError
 from .linalg import Matrix, Subspace
 from .monodromy import (MonodromyRep, VariationSpec, check_compatibility,
@@ -24,9 +24,8 @@ __all__ = [
     "BraidWord", "CycloField", "Matrix", "MatTuple", "MonodromyRep",
     "ParcohError", "Problem", "SesquiData", "Subspace", "VariationSpec",
     "act_on_tuple", "check_compatibility", "common_fixed_space",
-    "cup_pairing", "cycle_to_cocycle", "dual_tuple", "e_space", "eta",
-    "format_element", "gram_on_W", "h_space", "lift_parabolic",
-    "load_problem", "monodromy_generators", "parse_braid", "parse_element",
-    "parse_problem", "phi_on_H", "predicted_signature", "psi",
-    "signature", "validate_tuple", "w_space",
+    "cup_pairing", "dual_tuple", "e_space", "eta", "format_element",
+    "gram_on_W", "h_space", "load_problem", "monodromy_generators",
+    "parse_braid", "parse_element", "parse_problem", "phi_on_H",
+    "predicted_signature", "signature", "validate_tuple", "w_space",
 ]

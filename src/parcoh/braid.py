@@ -33,8 +33,8 @@ O(L*(r*d)*d^2) + O((r*d)^3).
 import re
 
 from .errors import (BraidSyntaxError, DoesNotPreserveE, IndexOutOfRange,
-                     StrandMismatch, TupleMismatch)
-from .linalg import Matrix, _row_times, block_diag, vec_mat
+                     StrandMismatch)
+from .linalg import Matrix, _row_times, vec_mat
 
 _LETTER = re.compile(r"^b(\d+)(?:\^(-?\d+))?$")
 
@@ -187,7 +187,8 @@ def act_on_tuple(g, beta):
 
 
 class ChainMap:
-    """A linear map on flattened V^r coordinates between two cocycle spaces."""
+    """A map on flattened V^r coordinates between two cocycle spaces: the
+    tuples it starts and ends at and its matrix."""
 
     __slots__ = ("domain_tuple", "codomain_tuple", "matrix")
 
@@ -195,17 +196,6 @@ class ChainMap:
         self.domain_tuple = domain_tuple
         self.codomain_tuple = codomain_tuple
         self.matrix = matrix
-
-    def apply(self, v):
-        return vec_mat(v, self.matrix)
-
-    def compose(self, other):
-        """self then other (domains must chain)."""
-        if other.domain_tuple != self.codomain_tuple:
-            raise TupleMismatch("chain maps do not compose: the second "
-                                "starts at another tuple")
-        return ChainMap(self.domain_tuple, other.codomain_tuple,
-                        self.matrix * other.matrix)
 
     def __repr__(self):
         return "ChainMap(%d x %d)" % (self.matrix.rows, self.matrix.cols)
@@ -226,13 +216,6 @@ def phi_on_H(g, beta):
                     Matrix(f, n, n, [x for row in rows for x in row]))
 
 
-def psi(g, h):
-    """Psi(g, h): H_(h g h^-1) -> H_g, blockwise right multiplication by h."""
-    domain = g.conjugated(h)
-    mat = block_diag(g.field, [h] * g.r)
-    return ChainMap(domain, g, mat)
-
-
 def _twist_rows(rows, chi, d):
     """Psi(g, chi) on the row lists rows, in place: each d-block times chi."""
     ent, zero = chi.entries, chi.field.zero()
@@ -241,36 +224,29 @@ def _twist_rows(rows, chi, d):
             row[lo:lo + d] = _row_times(row[lo:lo + d], ent, d, zero)
 
 
-def induced_on_W(chain_map, dom, cod):
-    """Matrix of the induced map W_dom -> W_cod in the chart bases.
-
-    Raises DoesNotPreserveE unless the chain map sends H into H and E
-    into E.  The map is applied to each H and E basis vector of dom
-    once, and _on_W checks and reads the images.
-    """
-    if dom.tuple != chain_map.domain_tuple:
-        raise TupleMismatch("chain map starts at another tuple")
-    if cod.tuple != chain_map.codomain_tuple:
-        raise TupleMismatch("chain map ends at another tuple")
-    return _on_W([chain_map.apply(v) for v in dom.H.basis + dom.E.basis],
-                 dom, cod)
+def _preserved(rows, nh, K, E):
+    """(h_ok, e_ok): whether rows[:nh] lie in H = {v : v*K = 0} and
+    rows[nh:] in E, one row at a time, each scan stopping at its first
+    row outside."""
+    h_ok = not any(any(vec_mat(v, K)) for v in rows[:nh])
+    e_ok = all(E.contains(v) for v in rows[nh:])
+    return h_ok, e_ok
 
 
 def _on_W(images, dom, cod):
     """The matrix on W of a map given by its images of dom.H.basis and
     then of dom.E.basis.
 
-    Verifies that the H images lie in H (by the codomain's check matrix)
-    and the E images in E first.  The chart representatives are H basis
-    rows, so their images are read at the positions the chart records.
+    Raises DoesNotPreserveE unless the H images lie in H (by the
+    codomain's check matrix) and the E images in E.  The chart
+    representatives are H basis rows, so their images are read at the
+    positions the chart records.
     """
-    nh = dom.H.dim
-    for image in images[:nh]:
-        if any(vec_mat(image, cod.K)):
-            raise DoesNotPreserveE("image of an H basis vector leaves H")
-    for image in images[nh:]:
-        if not cod.E.contains(image):
-            raise DoesNotPreserveE("image of an E basis vector leaves E")
+    h_ok, e_ok = _preserved(images, dom.H.dim, cod.K, cod.E)
+    if not h_ok:
+        raise DoesNotPreserveE("image of an H basis vector leaves H")
+    if not e_ok:
+        raise DoesNotPreserveE("image of an E basis vector leaves E")
     field = cod.tuple.field
     rows = [cod.chart._coords(images[k]) for k in dom.chart.positions]
     if not rows:

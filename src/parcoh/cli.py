@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import picard as picard_mod
-from .braid import BraidWord, _move_rows, _walk
+from .braid import BraidWord, _move_rows, _preserved, _walk
 from .cyclo import format_element
 from .duality import (_blocks, _dual_check, _lift, cup_pairing, gram_on_W,
                       predicted_signature, signature)
@@ -32,8 +32,7 @@ from .errors import (BraidSyntaxError, DoesNotPreserveE, FieldInvariantError,
                      ProblemFileError, ShapeMismatch, StrandMismatch,
                      TupleError, TupleMismatch, UnknownGenerator)
 from .linalg import Matrix, kernel_left, vec_add, vec_mat
-from .monodromy import (VariationSpec, _generators, _walks,
-                        check_compatibility, monodromy_generators)
+from .monodromy import VariationSpec, _generators, _walks
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
                       vector_to_json)
 from .tuples import (MatTuple, _check_matrix, _entry_solver, e_space,
@@ -117,16 +116,16 @@ def cmd_monodromy(args):
         _err('--basis explicit requires a "basis" section in the file')
         return 1
     spec = VariationSpec(problem.tuple, problem.generators)
-    try:
-        rep = monodromy_generators(spec)
-    except IncompatibleSpec:
-        for name, ok, bad in check_compatibility(spec):
-            if ok:
+    walks = _walks(spec)
+    if any(bad is not None for _, _, _, bad in walks):
+        for name, _, _, bad in walks:
+            if bad is None:
                 print("compatibility %s: ok" % name, file=sys.stderr)
             else:
                 print("compatibility %s: FAIL at tuple entry %d"
                       % (name, bad), file=sys.stderr)
         return 3
+    rep = _generators(spec, walks)
     mats = list(rep.images)
     if not mats:
         if args.json:
@@ -320,10 +319,8 @@ def _verify_checks(problem):
                     if m not in kernels:
                         kernels[m] = _entry_solver(m).right_kernel()
                 K = _check_matrix(tup, [kernels[m] for m in tup.mats])
-                Emoved = e_space(tup)
-                h_ok = h_ok and not any(any(vec_mat(v, K))
-                                        for v in rows[:H.dim])
-                e_ok = e_ok and all(Emoved.contains(v) for v in rows[H.dim:])
+                h, e = _preserved(rows, H.dim, K, e_space(tup))
+                h_ok, e_ok = h_ok and h, e_ok and e
         return h_ok, e_ok
     yield from _outcomes(("H preserved by braid letters",
                           "E preserved by braid letters"), letters)

@@ -57,11 +57,6 @@ def _lift(solver, v_i):
     return x
 
 
-def lift_parabolic(g_i, v_i):
-    """A deterministic v' with v'*(g_i - 1) = v_i; NotParabolic if none."""
-    return _lift(_entry_solver(g_i), v_i)
-
-
 def _blocks(v, r, d):
     return [tuple(v[i * d:(i + 1) * d]) for i in range(r)]
 
@@ -124,21 +119,6 @@ def cup_pairing(gstar, g, phi, psi, lifts=None):
                                    % (i + 1))
             row.extend(lifts[i])
     return dot(chain_row(gstar, phi), row)
-
-
-def cycle_to_cocycle(g, w_list):
-    """Blocks v_i = w_i - w_(i-1)*g_i, cyclically (w_0 means w_r)."""
-    if len(w_list) != g.r:
-        raise TupleMismatch("expected %d chain vectors, got %d"
-                            % (g.r, len(w_list)))
-    out = []
-    for i in range(g.r):
-        prev = w_list[i - 1]  # i = 0 wraps to w_r
-        out.append(vec_sub(w_list[i], vec_mat(prev, g.mats[i])))
-    flat = []
-    for b in out:
-        flat.extend(b)
-    return tuple(flat)
 
 
 _FORM_KINDS = ("hermitian", "bilinear-symmetric", "bilinear-alternating")

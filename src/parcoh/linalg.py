@@ -40,14 +40,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(u, c):
-    return tuple(a * c for a in u)
-
-
-def vec_is_zero(u):
-    return not any(u)
-
-
 def dot(u, v):
     """Standard coordinate pairing, no conjugation."""
     if len(u) != len(v):
@@ -238,21 +230,6 @@ class Matrix:
             self.rows, self.cols, self.field.n)
 
 
-def block_diag(field, blocks):
-    n = sum(b.rows for b in blocks)
-    m = sum(b.cols for b in blocks)
-    out = Matrix.zero(field, n, m)
-    ent = list(out.entries)
-    i0 = j0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                ent[(i0 + i) * m + (j0 + j)] = b[i, j]
-        i0 += b.rows
-        j0 += b.cols
-    return Matrix(field, n, m, ent)
-
-
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -371,15 +348,6 @@ class RowSolver:
                      for k in range(len(self._pivots), m))
 
 
-def solve_row(a, b):
-    """Some x with x*a = b, or None.
-
-    Deterministic: the system is reduced with fixed pivot order and free
-    coordinates of x are set to 0.
-    """
-    return RowSolver(a).solve(b)
-
-
 def _free_rows(field, n, pivots, eqs):
     """The solutions e_f - sum_k eqs[k][f]*e_(pivots[k]), free f < n."""
     zero, one = field.zero(), field.one()
@@ -437,7 +405,7 @@ class Subspace:
         return _reduce(self.basis, v)
 
     def contains(self, v):
-        return vec_is_zero(self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.basis)

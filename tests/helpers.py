@@ -11,8 +11,27 @@ from functools import lru_cache
 
 from parcoh.braid import BraidWord
 from parcoh.cyclo import CycloField
-from parcoh.linalg import Matrix, block_diag, vec_add, vec_scale
+from parcoh.linalg import Matrix, vec_add
 from parcoh.tuples import MatTuple
+
+
+def vec_scale(u, c):
+    return tuple(a * c for a in u)
+
+
+def block_diag(field, blocks):
+    """The block-diagonal matrix with the given blocks, in order."""
+    n = sum(b.rows for b in blocks)
+    m = sum(b.cols for b in blocks)
+    ent = [field.zero()] * (n * m)
+    i0 = j0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                ent[(i0 + i) * m + (j0 + j)] = b[i, j]
+        i0 += b.rows
+        j0 += b.cols
+    return Matrix(field, n, m, ent)
 
 
 def rand_element(field, rng, span=2):

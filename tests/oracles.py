@@ -17,16 +17,20 @@ elimination of a^T, and take the left kernel from the transform of a
 tracked elimination of the rows of a followed by a second RREF instead
 of reading it off one elimination of the columns.  The sign oracle
 evaluates interval cosines with mpmath on every call instead of summing
-cached integer bounds.
+cached integer bounds.  The ambient route to W applies (r d) x (r d)
+chain maps (psi, compose, induced_on_W) to the H and E basis vectors
+instead of moving and twisting the basis rows letter by letter.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from parcoh.errors import NotReal
+from helpers import block_diag
+from parcoh.braid import ChainMap, _on_W
+from parcoh.errors import NotReal, TupleMismatch
 from parcoh.linalg import (Matrix, Subspace, _rref_rows, dot, kernel_left,
-                           solve_row, vec_add, vec_mat, vec_sub)
+                           vec_add, vec_mat, vec_sub)
 
 
 def cup_chain_oracle(gstar, g, phi, psi):
@@ -50,7 +54,7 @@ def cup_chain_oracle(gstar, g, phi, psi):
     total = g.field.zero()
     for i in range(1, r + 1):
         diff = vec_sub(wch[i], wch[i - 1])
-        u = solve_row(g.mats[i - 1] - ident, diff)
+        u = solve_row_oracle(g.mats[i - 1] - ident, diff)
         assert u is not None, "second argument is not parabolic"
         total = total + dot(vec_sub(wstar[i], wstar[i - 1]),
                             vec_sub(u, wch[i - 1]))
@@ -137,6 +141,32 @@ def phi_dense_oracle(g, beta):
             step = _phi_letter_matrix(mats, d, i).inverse()
         total = total * step
     return total, mats
+
+
+def psi(g, h):
+    """Psi(g, h): H_(h g h^-1) -> H_g, blockwise right multiplication by h."""
+    domain = g.conjugated(h)
+    return ChainMap(domain, g, block_diag(g.field, [h] * g.r))
+
+
+def compose(first, second):
+    """The chain map first then second (domains must chain)."""
+    if second.domain_tuple != first.codomain_tuple:
+        raise TupleMismatch("chain maps do not compose: the second "
+                            "starts at another tuple")
+    return ChainMap(first.domain_tuple, second.codomain_tuple,
+                    first.matrix * second.matrix)
+
+
+def induced_on_W(chain_map, dom, cod):
+    """Matrix of the induced map W_dom -> W_cod in the chart bases, from
+    the ambient images of dom's H and E basis vectors."""
+    if dom.tuple != chain_map.domain_tuple:
+        raise TupleMismatch("chain map starts at another tuple")
+    if cod.tuple != chain_map.codomain_tuple:
+        raise TupleMismatch("chain map ends at another tuple")
+    return _on_W([vec_mat(v, chain_map.matrix)
+                  for v in dom.H.basis + dom.E.basis], dom, cod)
 
 
 # ---------------------------------------------------------------------------

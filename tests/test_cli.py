@@ -1,11 +1,20 @@
 """The command line interface: outputs, JSON shapes, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import random
+import tempfile
 import time
+from datetime import timedelta
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import plus_trivial_block, sl2_tuple
 from parcoh import cli, linalg, monodromy, picard, tuples
@@ -266,7 +275,15 @@ def test_boolean_integers_exit_2(key, tmp_path, capsys):
     assert key in err
 
 
-def test_incompatible_variation_exits_3(tmp_path, capsys):
+def test_incompatible_variation_exits_3(tmp_path, capsys, monkeypatch):
+    """The report is read off the one walk of each word."""
+    walks = []
+    real = monodromy._walk
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+    monkeypatch.setattr(monodromy, "_walk", counted)
     doc = {
         "field": {"cyclotomic_order": 3},
         "dimension": 2,
@@ -279,8 +296,11 @@ def test_incompatible_variation_exits_3(tmp_path, capsys):
     }
     path = tmp_path / "incompat.json"
     path.write_text(json.dumps(doc))
-    code, _, err = _run(["monodromy", str(path)], capsys)
+    code, out, err = _run(["monodromy", str(path)], capsys)
     assert code == 3
+    assert out == ""
+    assert err == "compatibility t: FAIL at tuple entry 1\n"
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("command", ["monodromy", "verify"])
@@ -478,3 +498,75 @@ def test_picard_computes_each_golden_object_once(monkeypatch, capsys,
     assert code == 0
     assert sorted(calls) == ["gram_on_W", "gram_on_W",
                              "monodromy_generators"]
+
+
+# ---------------------------------------------------------------------------
+# a fuzz property over mutated copies of the shipped problem files
+
+# what "swap" puts in place of a value: every JSON type, and strings and
+# lists of the shapes the file format expects elsewhere
+_OTHER_VALUES = (None, True, 0, -1, 1.5, "", "z", "1", "b1^-1", "trivial",
+                 [], ["1"], [["1"]], [[["z"]]], {}, {"kind": "hermitian"})
+
+_FUZZ_COMMANDS = (["w-basis"], ["monodromy"], ["gram", "--hermitian"],
+                  ["verify"])
+
+
+@lru_cache(maxsize=None)
+def _shipped_docs():
+    docs = []
+    for path in (PICARD, CONJUGATE):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    return tuple(docs)
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A shipped problem file with one to three mutations, each at a
+    random place: a key or entry dropped, a value swapped for one of
+    another type, or a list shortened or lengthened by repeating its
+    entries (to at most two more)."""
+    doc = copy.deepcopy(draw(st.sampled_from(_shipped_docs())))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and \
+                (parent is None or draw(st.booleans())):
+            parent = node
+            key = draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        if parent is None:
+            continue
+        action = draw(st.sampled_from(("drop", "swap", "resize")))
+        if action == "drop":
+            del parent[key]
+        elif action == "swap":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_OTHER_VALUES)))
+        else:
+            if not isinstance(node, list) or not node:
+                node = parent
+            if isinstance(node, list) and node:
+                size = draw(st.integers(0, len(node) + 2))
+                node[:] = [node[k % len(node)] for k in range(size)]
+    return doc
+
+
+@settings(max_examples=50, deadline=timedelta(seconds=5))
+@given(_mutated_docs())
+def test_mutated_problem_files_exit_with_a_documented_code(doc):
+    """Every subcommand that reads a file, in text and --json, returns an
+    exit code 0-5 from main, with no exception escaping it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in _FUZZ_COMMANDS:
+            for flags in ([], ["--json"]):
+                argv = command + [path] + flags
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                assert code in range(6), (argv, code, err.getvalue())

@@ -11,29 +11,37 @@ import pytest
 
 from helpers import (check_cases, plus_trivial_block, rand_combo,
                      rand_element, rand_h_elem, rand_invertible, rand_tuple,
-                     sl2_tuple, unit_scalar_tuple)
+                     sl2_tuple, unit_scalar_tuple, vec_scale)
 from oracles import cup_chain_oracle, numeric_signature
 from parcoh import duality, linalg, picard, tuples
 from parcoh.cyclo import CycloField, parse_element
-from parcoh.duality import (SesquiData, _dual_check, cup_pairing,
-                            cycle_to_cocycle, gram_on_W, lift_parabolic,
-                            predicted_signature, signature)
+from parcoh.duality import (SesquiData, _dual_check, _lift, cup_pairing,
+                            gram_on_W, predicted_signature, signature)
 from parcoh.errors import (FormNotInvariant, NonzeroH0, NotHermitian,
                            NotParabolic, TupleMismatch)
 from parcoh.linalg import (Matrix, kernel_left, vec_add, vec_conj, vec_mat,
-                           vec_scale, vec_sub)
-from parcoh.tuples import (MatTuple, dual_tuple, e_space, h_space, w_space)
+                           vec_sub)
+from parcoh.tuples import (MatTuple, _entry_solver, dual_tuple, e_space,
+                           h_check, h_space, w_space)
+
+
+def _lift_block(m, v):
+    """A v' with v'*(m - 1) = v, from the RowSolver of m - 1 that w_space
+    keeps for each entry m."""
+    return _lift(_entry_solver(m), v)
 
 
 def test_lift_parabolic_solves_and_rejects():
+    """A block in Im(g_1 - 1) lifts through the solver of g_1 - 1, and a
+    block outside it raises NotParabolic."""
     F = CycloField(3)
     z = F.zeta()
     g1 = Matrix.scalar(F, 1, z)
     v = (z - F.one(),)
-    u = lift_parabolic(g1, v)
+    u = _lift_block(g1, v)
     assert vec_mat(u, g1 - Matrix.identity(F, 1)) == v
     with pytest.raises(NotParabolic):
-        lift_parabolic(Matrix.identity(F, 1), (F.one(),))
+        _lift_block(Matrix.identity(F, 1), (F.one(),))
 
 
 def test_cup_pairing_requires_the_dual_tuple():
@@ -94,7 +102,7 @@ def test_cup_is_independent_of_the_lifts():
         blocks = [tuple(psi[i * d:(i + 1) * d]) for i in range(r)]
         lifts = []
         for i in range(r):
-            u = lift_parabolic(g.mats[i], blocks[i])
+            u = _lift_block(g.mats[i], blocks[i])
             ker = kernel_left(g.mats[i] - ident)
             if ker.dim:
                 u = vec_add(u, rand_combo(list(ker.basis), F, rng))
@@ -116,7 +124,7 @@ def test_cup_rejects_wrong_lifts():
     psi = rand_h_elem(H, rng)
     d = g.dim
     blocks = [tuple(psi[i * d:(i + 1) * d]) for i in range(g.r)]
-    lifts = [lift_parabolic(g.mats[i], blocks[i]) for i in range(g.r)]
+    lifts = [_lift_block(g.mats[i], blocks[i]) for i in range(g.r)]
     lifts[0] = vec_add(lifts[0], (F.one(), F.one()))
     ident = Matrix.identity(F, d)
     if vec_mat(lifts[0], g.mats[0] - ident) != blocks[0]:
@@ -315,23 +323,26 @@ def test_invariants_survive_python_O():
 
 
 def test_cycle_to_cocycle_lands_in_H():
+    """The blocks v_i = w_i - w_(i-1)*g_i of a chain (w_0 means w_r)
+    satisfy the cocycle relation, so the suffix-product columns of K_g
+    vanish on them; membership in the blockwise images depends on the
+    chain, so only the relation is checked."""
     rng = random.Random(608)
     for _ in range(10):
         F = CycloField(3)
         g = rand_tuple(F, 4, 2, rng)
-        H = h_space(g)
         w_list = [tuple(rand_element(F, rng) for _ in range(2))
                   for _ in range(g.r)]
-        v = cycle_to_cocycle(g, w_list)
-        # the twisted-sum condition holds for any chain; membership in the
-        # blockwise image part depends on the chain, so only check the sum
         d, r = g.dim, g.r
-        blocks = [tuple(v[i * d:(i + 1) * d]) for i in range(r)]
+        blocks = [vec_sub(w_list[i], vec_mat(w_list[i - 1], g.mats[i]))
+                  for i in range(r)]
         suff = g.suffix_products()
         total = tuple(F.zero() for _ in range(d))
         for i in range(r):
             total = vec_add(total, vec_mat(blocks[i], suff[i]))
         assert all(not x for x in total)
+        v = tuple(x for b in blocks for x in b)
+        assert not any(vec_mat(v, h_check(g))[-d:])
 
 
 def test_sesqui_check_accepts_and_rejects():

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_tuple
-from oracles import phi_dense_oracle
+from oracles import compose, induced_on_W, phi_dense_oracle, psi
 from parcoh import monodromy, picard
-from parcoh.braid import BraidWord, ChainMap, induced_on_W, parse_braid, \
-    phi_on_H, psi
+from parcoh.braid import BraidWord, ChainMap, parse_braid, phi_on_H
 from parcoh.cyclo import CycloField
 from parcoh.errors import IncompatibleSpec, UnknownGenerator
 from parcoh.linalg import Matrix
@@ -97,11 +96,11 @@ def test_monodromy_with_a_nonidentity_twist():
     ws = rep.wspace
     assert ws.dim > 0
     for (_, m), (_, beta, chi) in zip(rep.images, gens):
-        assert m == induced_on_W(phi_on_H(g, beta).compose(psi(g, chi)),
+        assert m == induced_on_W(compose(phi_on_H(g, beta), psi(g, chi)),
                                  ws, ws)
         dense, mats = phi_dense_oracle(g, beta)
         oracle = ChainMap(g, MatTuple(F, 2, mats), dense)
-        assert m == induced_on_W(oracle.compose(psi(g, chi)), ws, ws)
+        assert m == induced_on_W(compose(oracle, psi(g, chi)), ws, ws)
     twist, untwist = rep.image_by_name("twist"), rep.image_by_name("untwist")
     assert twist * untwist == Matrix.identity(F, ws.dim)
 
@@ -110,7 +109,7 @@ def _dense_monodromy(g, beta, chi, ws):
     """The map on W from the dense Phi oracle composed with the dense Psi."""
     dense, mats = phi_dense_oracle(g, beta)
     chain = ChainMap(g, MatTuple(g.field, g.dim, mats), dense)
-    return induced_on_W(chain.compose(psi(g, chi)), ws, ws)
+    return induced_on_W(compose(chain, psi(g, chi)), ws, ws)
 
 
 def _pure_braid(strands, i, j):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import (check_cases, rand_h_elem, rand_tuple, sl2_tuple,
                      unit_scalar_tuple)
-from oracles import h_space_oracle
+from oracles import h_space_oracle, solve_row_oracle
 from parcoh.cyclo import CycloField
 from parcoh.errors import ProductNotOne, TooFewPoints, TupleError
-from parcoh.linalg import Matrix, vec_add, vec_mat
+from parcoh.linalg import Matrix, Subspace, vec_add, vec_mat
 from parcoh.tuples import (MatTuple, common_fixed_space, dual_tuple, e_space,
                            h_check, h_space, validate_tuple, w_space)
 
@@ -72,8 +72,7 @@ def test_h_space_elements_satisfy_both_conditions():
             blocks = [tuple(v[i * d:(i + 1) * d]) for i in range(r)]
             # each block lies in the image of g_i - 1
             for i, b in enumerate(blocks):
-                from parcoh.linalg import solve_row
-                assert solve_row(g.mats[i] - ident, b) is not None
+                assert solve_row_oracle(g.mats[i] - ident, b) is not None
             # the twisted sum telescopes to zero
             total = tuple(F.zero() for _ in range(d))
             for i in range(r):
@@ -196,3 +195,31 @@ def test_check_matrix_decides_h_membership(data):
                                    max_size=n))
         v = vec_add(v, tuple(F.from_rational(c) for c in noise))
     assert any(vec_mat(v, ws.K)) == (not ws.H.contains(v))
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristic of parabolic cohomology
+
+
+def _assert_euler_characteristic(g):
+    """dim W = sum_i rk(g_i - 1) - 2d + dim H^0(g) + dim H^0(g*), with
+    H^0(g*) standing for H^2(g) by duality."""
+    ident = Matrix.identity(g.field, g.dim)
+    ranks = sum(Subspace.from_rows(g.field, g.dim, (m - ident).row_list()).dim
+                for m in g.mats)
+    want = (ranks - 2 * g.dim + common_fixed_space(g).dim
+            + common_fixed_space(dual_tuple(g)).dim)
+    assert w_space(g).dim == want, g
+
+
+def test_euler_characteristic_on_the_check_cases():
+    for g in check_cases():
+        _assert_euler_characteristic(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 4, 5, 6)), st.integers(3, 5), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_euler_characteristic_on_random_tuples(n, r, d, seed):
+    _assert_euler_characteristic(
+        rand_tuple(CycloField(n), r, d, random.Random(seed)))
