@@ -10,7 +10,9 @@ tuple, the inverses of the entries (g* is their transposes), one walk
 per file word (the compatibility lines and the W form check read the
 same walks) and a dict from each entry h of a moved tuple to the right
 kernel of h - 1, seeded from W's solvers, so a letter check eliminates
-only the entries the letter creates.  A library error raised inside a
+only the entries the letter creates, and it forms only the suffix
+products of the moved tuple that differ from g's (at most two per letter,
+see tuples._shared_suffix_products).  A library error raised inside a
 check (exit-5 class) is that check's FAIL line with the error text, so
 the remaining checks still run and --json always prints its document;
 input errors keep their own exit codes.
@@ -35,8 +37,8 @@ from .linalg import Matrix, kernel_left, vec_add, vec_mat
 from .monodromy import VariationSpec, _generators, _walks
 from .problem import (load_problem, matrix_from_json, matrix_to_json,
                       vector_to_json)
-from .tuples import (MatTuple, _check_matrix, _entry_solver, e_space,
-                     w_space)
+from .tuples import (MatTuple, _check_matrix, _entry_solver,
+                     _shared_suffix_products, e_space, w_space)
 
 
 def _fmt_vec(v):
@@ -306,8 +308,10 @@ def _verify_checks(problem):
         for left, right in artin_relations(r)),))
 
     # each letter b_i^(+-1) maps H into H and E into E of the moved tuple;
-    # K of the moved tuple eliminates only the entries not seen before
+    # K of the moved tuple eliminates only the entries not seen before and
+    # forms only the suffix products that differ from g's
     kernels = {m: s.right_kernel() for m, s in zip(g.mats, ws.solvers)}
+    suffixes = g.suffix_products()
 
     def letters():
         h_ok = e_ok = True
@@ -318,7 +322,8 @@ def _verify_checks(problem):
                 for m in tup.mats:
                     if m not in kernels:
                         kernels[m] = _entry_solver(m).right_kernel()
-                K = _check_matrix(tup, [kernels[m] for m in tup.mats])
+                K = _check_matrix([kernels[m] for m in tup.mats],
+                                  _shared_suffix_products(tup, g, suffixes))
                 h, e = _preserved(rows, H.dim, K, e_space(tup))
                 h_ok, e_ok = h_ok and h, e_ok and e
         return h_ok, e_ok

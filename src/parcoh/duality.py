@@ -22,7 +22,9 @@ x, y -> x*J*conj(y)^T on V.
 On the chart representatives rep_1, ..., rep_w of W_g the Gram matrix
 is therefore one product, G = -i * A * L^T: row k of A is
 chain_row(g*, kappa(rep_k)) and row l of L is the lift row of rep_l,
-so the cost is w rows of r lifts each, not w^2 pairings.  Each g_i - 1
+so the cost is w rows of r lifts each, not w^2 pairings.  chain_row is
+linear, so the -i goes into kappa: its matrix is -i*J^T, d^2 products
+once, and G = A * L^T with no w^2 products after it.  Each g_i - 1
 is eliminated once per Gram, by the linalg.RowSolver that w_space keeps
 in WSpace.solvers (see tuples): it lifts each block in O(d^2), and its
 left kernel is block i of the check matrix K_(g*) of H_(g*), which
@@ -36,6 +38,11 @@ monodromy matrix M preserves it iff conj(M)*G*M^T = G.  With these
 conventions the signature formula of predicted_signature holds exactly:
 signature(gram_on_W(g)) == predicted_signature(g), checked over random
 rank-one root-of-unity tuples in the test suite.
+
+signature reads the inertia off one triangle: an LDL* reduction that
+replaces the active indices by their Hermitian Schur complement at each
+pivot, about m^2/2 products for m active indices, where a congruence
+row and column operation on the full matrix costs 1.5*m^2.
 """
 
 from fractions import Fraction
@@ -70,9 +77,10 @@ def chain_row(gstar, phi):
     T = tuple(gstar.field.zero() for _ in range(d))
     out = []
     for v, m in zip(_blocks(phi, r, d), gstar.mats):
-        Tm = vec_mat(T, m)
-        out.extend(vec_add(v, vec_sub(Tm, T)))
-        T = vec_add(Tm, v)
+        # T_(i+1) = T_i*g*_i + v*_i, so block i is T_(i+1) - T_i
+        nxt = vec_add(vec_mat(T, m), v)
+        out.extend(vec_sub(nxt, T))
+        T = nxt
     return tuple(out)
 
 
@@ -87,7 +95,8 @@ def _lift_row(solvers, psi, d):
 def _dual_check(ws, gstar):
     """K_(g*) for gstar = dual_tuple(ws.tuple), from the left kernels of
     the g_i - 1 (the right kernels of the g*_i - 1) in ws.solvers."""
-    return _check_matrix(gstar, [s.left_kernel() for s in ws.solvers])
+    return _check_matrix([s.left_kernel() for s in ws.solvers],
+                         gstar.suffix_products())
 
 
 def _check_dual(gstar, g):
@@ -174,8 +183,10 @@ def _kappa_image(v_blocks, Jt, conj_first):
 def gram_on_W(g, form):
     """Gram matrix of the induced form on the W_g representative basis.
 
-    G = A * L^T (times -i for a hermitian form): row k of A is the
-    chain_row of kappa(rep_k), row l of L is the lift row of rep_l.
+    G = A * L^T: row k of A is the chain_row of kappa(rep_k), row l of L
+    is the lift row of rep_l.  For a hermitian form the factor -i is
+    folded into kappa, whose matrix is then -i*J^T (d^2 products instead
+    of w^2 on G); chain_row is linear, so G is the same.
     """
     form.check(g)
     hermitian = form.kind == "hermitian"
@@ -183,15 +194,16 @@ def gram_on_W(g, form):
         m = lcm(g.field.n, 4)
         big = CycloField(m)
         g = g.coerce(big)
-        J = form.J.coerce(big)
-        i_elem = big.zeta(m // 4)
+        Jt = form.J.coerce(big).transpose() * -big.zeta(m // 4)
+        kind = "hermitian"
     else:
-        J = form.J
+        Jt = form.J.transpose()
+        kind = ("bilinear-alternating" if form.kind == "bilinear-symmetric"
+                else "bilinear-symmetric")
     ws = w_space(g)
     reps = ws.chart.reps
     gstar = dual_tuple(g)
     Kstar = _dual_check(ws, gstar)
-    Jt = J.transpose()
     A = []
     for rep in reps:
         phi = _kappa_image(_blocks(rep, g.r, g.dim), Jt,
@@ -204,13 +216,6 @@ def gram_on_W(g, form):
     L = [_lift_row(ws.solvers, rep, g.dim) for rep in reps]
     G = Matrix.from_rows(g.field, A) * \
         Matrix.from_rows(g.field, L).transpose()
-    if hermitian:
-        G = G * -i_elem
-        kind = "hermitian"
-    elif form.kind == "bilinear-symmetric":
-        kind = "bilinear-alternating"
-    else:
-        kind = "bilinear-symmetric"
     return GramResult(G, kind, ws)
 
 
@@ -232,12 +237,24 @@ class SignatureResult:
 
 
 def signature(gram):
-    """Exact inertia of a Hermitian Gram matrix by congruence reduction.
+    """Exact inertia (p, q, nullity) of a Hermitian Gram matrix.
 
-    Every pivot sign decision goes through the symbolic-then-interval
-    sign routine; zero diagonals are repaired with the transvection
-    row_j += G[j][l]*row_l, whose new diagonal entry 2*|G[j][l]|^2 is
-    positive in any conjugation-closed field.
+    The Hermitian check compares each entry on and above the diagonal
+    with the conjugate of its mirror entry, so a non-real diagonal entry
+    fails it too.  Then an LDL* reduction on the upper triangle S of the
+    still-active indices: the pivot is the first active index j with
+    S[j][j] != 0, it adds the sign of S[j][j] to p or q, and the rest is
+    replaced by its Schur complement, S[a][b] -= conj(S[j][a]) *
+    S[j][j]^-1 * S[j][b] for active a <= b (S[j][a] read as the
+    conjugate of S[a][j] when a < j), skipping zero terms.  When every
+    active diagonal entry is zero, the first active pair a < b with
+    S[a][b] != 0 is repaired by the transvection row_a += S[a][b]*row_b,
+    col_a += conj(S[a][b])*col_b, which makes the new diagonal entry
+    2*|S[a][b]|^2, positive in any conjugation-closed field; if there is
+    no such pair the active indices are the nullity.  Each pivot costs
+    one sign, one inverse and about m^2/2 products for m active indices,
+    where the same congruence on the full matrix costs 1.5*m^2.  Every
+    sign decision goes through CycloElem.sign.
     """
     if isinstance(gram, GramResult):
         if gram.kind != "hermitian":
@@ -245,51 +262,27 @@ def signature(gram):
         G = gram.G
     else:
         G = gram
-    if G != G.conj_transpose():
-        raise NotHermitian("matrix is not conjugate-symmetric")
     n = G.rows
-    rows = [list(G.row(i)) for i in range(n)]
-
-    def addrow(j, l, c):
-        # row_j += c*row_l, then col_j += conj(c)*col_l
-        rows[j] = [x + c * y if y else x for x, y in zip(rows[j], rows[l])]
-        cc = c.conjugate()
-        for row in rows:
-            if row[l]:
-                row[j] = row[j] + cc * row[l]
-
-    def swap(j, l):
-        rows[j], rows[l] = rows[l], rows[j]
-        for x in range(n):
-            rows[x][j], rows[x][l] = rows[x][l], rows[x][j]
-
-    p = q = nullity = 0
-    for k in range(n):
-        if not rows[k][k]:
-            hit = None
-            for j in range(k + 1, n):
-                if rows[j][j]:
-                    hit = j
-                    break
-            if hit is not None:
-                swap(k, hit)
-            else:
-                pair = None
-                for j in range(k, n):
-                    for l in range(j + 1, n):
-                        if rows[j][l]:
-                            pair = (j, l)
-                            break
-                    if pair:
-                        break
-                if pair is None:
-                    nullity += n - k
-                    break
-                j, l = pair
-                addrow(j, l, rows[j][l])
-                if j != k:
-                    swap(k, j)
-        piv = rows[k][k]
+    if G.cols != n:
+        raise NotHermitian("matrix is not conjugate-symmetric")
+    S = [list(G.row(a)) for a in range(n)]
+    for a in range(n):
+        row = S[a]
+        for b in range(a, n):
+            if S[b][a] != row[b].conjugate():
+                raise NotHermitian("matrix is not conjugate-symmetric")
+    active = list(range(n))
+    p = q = 0
+    while active:
+        j = next((a for a in active if S[a][a]), None)
+        if j is None:
+            pair = next(((a, b) for k, a in enumerate(active)
+                         for b in active[k + 1:] if S[a][b]), None)
+            if pair is None:
+                break
+            j, b = pair
+            _transvect(S, active, j, b)
+        piv = S[j][j]
         s = piv.sign()
         if s == 0:
             raise FieldInvariantError("nonzero pivot %s has sign 0" % piv)
@@ -298,10 +291,39 @@ def signature(gram):
         else:
             q += 1
         inv = piv.inverse()
-        for j in range(k + 1, n):
-            if rows[j][k]:
-                addrow(j, k, -(rows[j][k] * inv))
-    return SignatureResult(p, q, nullity)
+        active.remove(j)
+        # (a, S[j][a], conj(S[j][a]) / S[j][j]) for the nonzero S[j][a]
+        terms = []
+        for a in active:
+            if a > j:
+                x = S[j][a]
+                if x:
+                    terms.append((a, x, x.conjugate() * inv))
+            else:
+                y = S[a][j]
+                if y:
+                    terms.append((a, y.conjugate(), y * inv))
+        for k, (a, _, w) in enumerate(terms):
+            row = S[a]
+            for b, x, _ in terms[k:]:
+                row[b] = row[b] - w * x
+    return SignatureResult(p, q, len(active))
+
+
+def _transvect(S, active, a, b):
+    """row_a += c*row_b and col_a += conj(c)*col_b, c = S[a][b], on the
+    upper triangle S of the active indices.  a < b, every active diagonal
+    entry is zero and every active row before a is zero, so only row a
+    changes, and its diagonal entry becomes c*conj(c) + conj(c)*c."""
+    c = S[a][b]
+    row = S[a]
+    for m in active:
+        if a < m != b:
+            y = S[b][m] if m > b else S[m][b].conjugate()
+            if y:
+                row[m] = row[m] + c * y
+    t = c * c.conjugate()
+    row[a] = t + t
 
 
 def predicted_signature(g, eigen_exponents=None):

@@ -101,18 +101,39 @@ def _entry_solver(m):
     return RowSolver(m - Matrix.identity(m.field, m.rows))
 
 
-def _check_matrix(g, kernels):
-    """K_g from kernels[i], a basis of the right kernel of each g_i - 1."""
-    d, zero = g.dim, g.field.zero()
+def _check_matrix(kernels, suffixes):
+    """K_g from kernels[i], a basis of the right kernel of each g_i - 1,
+    and suffixes, g.suffix_products()."""
+    d, zero = suffixes[0].rows, suffixes[0].field.zero()
     k = sum(len(n) for n in kernels)
     rows, col = [], 0
-    for n, s in zip(kernels, g.suffix_products()):
+    for n, s in zip(kernels, suffixes):
         for a in range(d):
             row = [zero] * k
             row[col:col + len(n)] = [x[a] for x in n]
             rows.append(row + list(s.row(a)))
         col += len(n)
-    return Matrix.from_rows(g.field, rows)
+    return Matrix.from_rows(suffixes[0].field, rows)
+
+
+def _shared_suffix_products(tup, g, suffixes):
+    """tup.suffix_products(), given suffixes = g.suffix_products() of a
+    tuple g of the same length.
+
+    S_j is taken from g where tup and g agree from entry j + 1 on, and
+    otherwise formed as tup_(j+1)*S_(j+1) until it equals g's S_j again.
+    A braid letter b_i^(+-1) keeps g_i*g_(i+1), so for its moved tuple
+    this forms S_i and S_(i-1) alone, the second confirming that S_(i-1)
+    and every S_j before it are g's: two products instead of r - 1.
+    """
+    out = list(suffixes)
+    same = True
+    for j in range(len(out) - 2, -1, -1):
+        m = tup.mats[j + 1]
+        if not same or m != g.mats[j + 1]:
+            out[j] = m * out[j + 1]
+            same = out[j] == suffixes[j]
+    return out
 
 
 def h_check(g):
@@ -122,7 +143,8 @@ def h_check(g):
     own k_i columns (v_i is in Im(g_i - 1) iff v_i*N_i = 0), and the last
     d columns hold S_i = g_(i+1)*...*g_r (the cocycle relation).
     """
-    return _check_matrix(g, [_entry_solver(m).right_kernel() for m in g.mats])
+    return _check_matrix([_entry_solver(m).right_kernel() for m in g.mats],
+                         g.suffix_products())
 
 
 def h_space(g):
@@ -169,7 +191,8 @@ class WSpace:
 
 def w_space(g):
     solvers = [_entry_solver(m) for m in g.mats]
-    K = _check_matrix(g, [s.right_kernel() for s in solvers])
+    K = _check_matrix([s.right_kernel() for s in solvers],
+                      g.suffix_products())
     H = kernel_left(K)
     E = e_space(g)
     return WSpace(g, H, E, quotient_chart(H, E), K, solvers)

@@ -17,7 +17,9 @@ elimination of a^T, and take the left kernel from the transform of a
 tracked elimination of the rows of a followed by a second RREF instead
 of reading it off one elimination of the columns.  The sign oracle
 evaluates interval cosines with mpmath on every call instead of summing
-cached integer bounds.  The ambient route to W applies (r d) x (r d)
+cached integer bounds, and the Galois oracle sums the dense reduced
+powers of zeta over every coefficient pair instead of reading a field's
+sparse table.  The ambient route to W applies (r d) x (r d)
 chain maps (psi, compose, induced_on_W) to the H and E basis vectors
 instead of moving and twisting the basis rows letter by letter.
 """
@@ -28,7 +30,9 @@ import mpmath
 
 from helpers import block_diag
 from parcoh.braid import ChainMap, _on_W
-from parcoh.errors import NotReal, TupleMismatch
+from parcoh.cyclo import CycloElem, _power_sum
+from parcoh.errors import (FieldInvariantError, NotHermitian, NotReal,
+                           TupleMismatch)
 from parcoh.linalg import (Matrix, Subspace, _rref_rows, dot, kernel_left,
                            vec_add, vec_mat, vec_sub)
 
@@ -94,6 +98,61 @@ def numeric_signature(G, prec=80):
         p = sum(1 for e in eigvals if e > tol)
         q = sum(1 for e in eigvals if e < -tol)
         return (p, q, n - p - q)
+
+
+def signature_oracle(G):
+    """Inertia (p, q, nullity) by congruence on the full matrix: each
+    pivot takes a row operation over all columns and the matching column
+    operation over all rows, and a zero diagonal is first swapped with a
+    later nonzero one or, failing that, repaired by the transvection
+    row_j += G[j][l]*row_l, col_j += conj(G[j][l])*col_l."""
+    if G != G.conj_transpose():
+        raise NotHermitian("matrix is not conjugate-symmetric")
+    n = G.rows
+    rows = [list(G.row(i)) for i in range(n)]
+
+    def addrow(j, l, c):
+        # row_j += c*row_l, then col_j += conj(c)*col_l
+        rows[j] = [x + c * y if y else x for x, y in zip(rows[j], rows[l])]
+        cc = c.conjugate()
+        for row in rows:
+            if row[l]:
+                row[j] = row[j] + cc * row[l]
+
+    def swap(j, l):
+        rows[j], rows[l] = rows[l], rows[j]
+        for x in range(n):
+            rows[x][j], rows[x][l] = rows[x][l], rows[x][j]
+
+    p = q = nullity = 0
+    for k in range(n):
+        if not rows[k][k]:
+            hit = next((j for j in range(k + 1, n) if rows[j][j]), None)
+            if hit is not None:
+                swap(k, hit)
+            else:
+                pair = next(((j, l) for j in range(k, n)
+                             for l in range(j + 1, n) if rows[j][l]), None)
+                if pair is None:
+                    nullity += n - k
+                    break
+                j, l = pair
+                addrow(j, l, rows[j][l])
+                if j != k:
+                    swap(k, j)
+        piv = rows[k][k]
+        s = piv.sign()
+        if s == 0:
+            raise FieldInvariantError("nonzero pivot %s has sign 0" % piv)
+        if s > 0:
+            p += 1
+        else:
+            q += 1
+        inv = piv.inverse()
+        for j in range(k + 1, n):
+            if rows[j][k]:
+                addrow(j, k, -(rows[j][k] * inv))
+    return (p, q, nullity)
 
 
 def _phi_letter_matrix(mats, d, i):
@@ -230,6 +289,12 @@ def fraction_inverse(a):
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
     c = r1[0]
     return _padded([x / c for x in s1], a.field.degree)
+
+
+def galois_oracle(x, target, step):
+    """The image of x in target under zeta_n -> zeta_N^step, summing
+    num[k] times every coordinate of zeta_N^(step*k)."""
+    return CycloElem(target, tuple(_power_sum(target, x.num, step)), x.den)
 
 
 def format_element_oracle(x):

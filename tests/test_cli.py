@@ -216,6 +216,33 @@ def test_verify_builds_one_context(monkeypatch, capsys):
     assert counts["WSpace"] == 3
 
 
+def test_verify_forms_only_the_suffix_products_a_letter_changes(
+        monkeypatch, capsys):
+    """suffix_products runs once each for verify's W, its letter checks
+    and the cup check's K_(g*), and for the W, K_(g*) and monodromy W of
+    the W form check.  A letter moves picard's (w, w, w, w, w^2) to
+    itself, so the six letter checks form no product, where rebuilding
+    each moved tuple's suffix products would form r - 1 = 4 each."""
+    counts = {"suffix_products": 0, "products": 0}
+    real_suffix = tuples.MatTuple.suffix_products
+    real_mul = Matrix.__mul__
+
+    def suffix_products(self):
+        counts["suffix_products"] += 1
+        return real_suffix(self)
+
+    def mul(self, other):
+        if isinstance(other, Matrix):
+            counts["products"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(tuples.MatTuple, "suffix_products", suffix_products)
+    monkeypatch.setattr(Matrix, "__mul__", mul)
+    code, _, _ = _run(["verify", PICARD], capsys)
+    assert code == 0
+    assert counts == {"suffix_products": 6, "products": 65}
+
+
 def test_picard_command(capsys):
     code, out, err = _run(["picard"], capsys)
     assert code == 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import rand_element, rand_nonzero
 from oracles import (format_element_oracle, fraction_inverse, fraction_mul,
-                     sign_oracle)
+                     galois_oracle, sign_oracle)
 from parcoh.cyclo import CycloField, format_element, parse_element
 from parcoh.errors import (FieldMismatch, LiteralSyntaxError, NoEmbedding,
                            NotReal)
@@ -402,6 +402,25 @@ def test_conjugate_and_coerce_are_ring_homomorphisms(data):
             assert image(a.inverse()) == image(a).inverse()
     big = CycloField(lcm(F.n, 4))
     assert a.coerce(big).conjugate() == a.conjugate().coerce(big)
+
+
+GALOIS_ORDERS = (1, 3, 5, 7, 12, 20, 28)
+
+
+@given(st.sampled_from(GALOIS_ORDERS), st.data())
+def test_conjugate_and_coerce_match_the_dense_galois_oracle(n, data):
+    # every embedding between the orders (Q(zeta_7) -> Q(zeta_28) among
+    # them) and into Q(zeta_lcm(n, 4)), where Hermitian Grams are built
+    F = CycloField(n)
+    coeffs = st.lists(st.one_of(st.just(0), _COEFF), max_size=F.degree)
+    a = F.element(data.draw(coeffs))
+    assert a.conjugate() == galois_oracle(a, F, -1)
+    targets = {N for N in GALOIS_ORDERS if N % n == 0} | {lcm(n, 4)}
+    for N in sorted(targets - {n}):
+        big = CycloField(N)
+        assert a.coerce(big) == galois_oracle(a, big, N // n)
+        assert a.coerce(big).conjugate() == galois_oracle(
+            galois_oracle(a, big, N // n), big, -1)
 
 
 @given(_field_and_elements(1))

@@ -8,11 +8,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (check_cases, plus_trivial_block, rand_combo,
                      rand_element, rand_h_elem, rand_invertible, rand_tuple,
                      sl2_tuple, unit_scalar_tuple, vec_scale)
-from oracles import cup_chain_oracle, numeric_signature
+from oracles import (cup_chain_oracle, galois_oracle, numeric_signature,
+                     signature_oracle)
 from parcoh import duality, linalg, picard, tuples
 from parcoh.cyclo import CycloField, parse_element
 from parcoh.duality import (SesquiData, _dual_check, _lift, cup_pairing,
@@ -431,9 +434,69 @@ def test_signature_zero_diagonal_repair():
 
 def test_signature_rejects_non_hermitian():
     F = CycloField(4)
-    one, zero = F.one(), F.zero()
-    with pytest.raises(NotHermitian):
-        signature(Matrix.from_rows(F, [[zero, one], [-one, zero]]))
+    one, zero, i = F.one(), F.zero(), F.zeta()
+    bad = [
+        [[zero, one], [-one, zero]],
+        # one mirror entry off: G[2][0] is not conj(G[0][2])
+        [[one, zero, i], [zero, -one, zero], [i, zero, one]],
+        # a non-real diagonal entry
+        [[one, zero], [zero, one + i]],
+        # not square
+        [[one, zero, zero], [zero, one, zero]],
+    ]
+    for rows in bad:
+        with pytest.raises(NotHermitian):
+            signature(Matrix.from_rows(F, rows))
+
+
+def _conj(x):
+    return galois_oracle(x, x.field, -1)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A Hermitian m x m matrix, m = 0..7, over Q(zeta_n) for n in 3, 4,
+    5, 12, 20: an h x h core H (all its diagonal entries zero when
+    zero_diag, so the signature must repair it by a transvection) whose
+    indices are repeated to fill m, so G has at least m - h repeated rows
+    and nullity >= m - h, then symmetrically permuted.  Returns (G, h)."""
+    F = CycloField(draw(st.sampled_from((3, 4, 5, 12, 20))))
+    m = draw(st.integers(0, 7))
+    h = draw(st.integers(min(m, 1), m))
+    zero_diag = draw(st.booleans(), label="zero_diag")
+    coeff = st.integers(-3, 3)
+    entry = st.one_of(
+        st.just(F.zero()),
+        st.lists(coeff, min_size=F.degree, max_size=F.degree).map(F.element))
+    H = [[None] * h for _ in range(h)]
+    for a in range(h):
+        if zero_diag:
+            H[a][a] = F.zero()
+        else:
+            x = draw(entry)
+            H[a][a] = x + _conj(x) + F.from_rational(draw(coeff))
+        for b in range(a + 1, h):
+            H[a][b] = draw(entry)
+            H[b][a] = _conj(H[a][b])
+    index = list(range(h)) + [draw(st.integers(0, h - 1))
+                              for _ in range(m - h)]
+    perm = draw(st.permutations(range(m)))
+    index = [index[k] for k in perm]
+    G = Matrix.from_rows(F, [[H[a][b] for b in index] for a in index])
+    return G, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_matrices())
+def test_signature_matches_the_oracles(case):
+    G, h = case
+    sig = signature(G)
+    got = (sig.p, sig.q, sig.nullity)
+    assert got == signature_oracle(G)
+    assert sig.p + sig.q + sig.nullity == G.rows
+    assert sig.nullity >= G.rows - h
+    if G.rows <= 4:
+        assert got == numeric_signature(G)
 
 
 def test_signature_is_a_congruence_invariant():

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import (check_cases, rand_h_elem, rand_tuple, sl2_tuple,
                      unit_scalar_tuple)
+from parcoh.braid import BraidWord, act_on_tuple
 from oracles import h_space_oracle, solve_row_oracle
 from parcoh.cyclo import CycloField
 from parcoh.errors import ProductNotOne, TooFewPoints, TupleError
 from parcoh.linalg import Matrix, Subspace, vec_add, vec_mat
-from parcoh.tuples import (MatTuple, common_fixed_space, dual_tuple, e_space,
-                           h_check, h_space, validate_tuple, w_space)
+from parcoh.tuples import (MatTuple, _shared_suffix_products,
+                           common_fixed_space, dual_tuple, e_space, h_check,
+                           h_space, validate_tuple, w_space)
 
 
 def _scalar(field, x):
@@ -156,6 +158,36 @@ def test_suffix_products():
         for j in range(i + 1, g.r):
             expect = expect * g.mats[j]
         assert suff[i] == expect
+
+
+def test_shared_suffix_products_match_a_fresh_product(monkeypatch):
+    """For the tuple moved by one letter, two products; for a tuple that
+    breaks g_i*g_(i+1) or changes any other entry, still its own suffix
+    products."""
+    products = []
+    real = Matrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    for g in check_cases():
+        suff = g.suffix_products()
+        for i in range(1, g.r - 1):
+            for e in (1, -1):
+                tup = act_on_tuple(g, BraidWord(g.r - 1, [(i, e)]))
+                monkeypatch.setattr(Matrix, "__mul__", counted)
+                del products[:]
+                shared = _shared_suffix_products(tup, g, suff)
+                monkeypatch.setattr(Matrix, "__mul__", real)
+                assert shared == tup.suffix_products()
+                assert len(products) <= 2
+                for j in (i - 1, i, 0, g.r - 1):
+                    mats = list(tup.mats)
+                    mats[j] = mats[j] + mats[j]
+                    wrong = MatTuple(g.field, g.dim, mats)
+                    assert _shared_suffix_products(wrong, g, suff) == \
+                        wrong.suffix_products()
 
 
 # ---------------------------------------------------------------------------
