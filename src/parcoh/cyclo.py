@@ -16,6 +16,16 @@ algorithm against Phi_n on integer polynomials (pseudo-division, with the
 common content of each remainder and its cofactor divided out): O(phi(n)^2)
 int operations on integers whose size grows at most linearly with phi(n).
 
+Row products and eliminations (linalg) go through one kernel,
+_product_sums, which forms a row x + a*M for a row x, a vector a and a
+matrix M on the integers alone.  Each output entry accumulates the
+unfolded convolutions of its nonzero terms over one common denominator
+and is folded and made canonical once: O(phi(n)^2) int products per
+nonzero term, and one fold and one gcd per output entry, where the
+element operators pay a fold, a gcd and a new element for every product
+and again for every sum.  Its operands must all be elements of one
+field, checked by identity (CycloField is unique per n).
+
 Complex conjugation (zeta_n -> zeta_n^-1) and the embedding into
 Q(zeta_N), n | N (zeta_n -> zeta_N^(N/n)), are Galois maps zeta_n ->
 zeta_N^step.  The target field keeps, per source n and step, a table of
@@ -105,6 +115,88 @@ def _canonical(field, num, den):
             num = [c // g for c in num]
             den //= g
     return CycloElem(field, tuple(num), den)
+
+
+def _mismatch(field, x):
+    return FieldMismatch("mixing Q(zeta_%d) and Q(zeta_%d); coerce explicitly"
+                         % (field.n, x.field.n))
+
+
+def _product_sums(field, xs, avals, entries, ncols):
+    """The row xs + avals*M in field, for M the row-major matrix entries
+    with ncols columns.
+
+    Output entry j accumulates the integer convolutions of its nonzero
+    terms avals[i]*M[i][j], unfolded, over one common denominator; a
+    term whose denominator den(a)*den(b) differs rescales the sum, the
+    term or both to their lcm.  An entry with a term is folded and made
+    canonical once; an entry without one is xs[j] itself.  Degree 2 has
+    its 2 x 2 convolution written out, since at that size the loop
+    overhead is most of a term's cost.  Raises FieldMismatch when an
+    operand it reads is not an element of field.
+    """
+    deg = field.degree
+    accs = [None] * ncols
+    dens = [0] * ncols  # 0 until entry j has a term
+    for i, a in enumerate(avals):
+        if a.field is not field:
+            raise _mismatch(field, a)
+        anum = a.num
+        if not any(anum):
+            continue
+        aden = a.den
+        for j, b in enumerate(entries[i * ncols:(i + 1) * ncols]):
+            if b.field is not field:
+                raise _mismatch(field, b)
+            bnum = b.num
+            if not any(bnum):
+                continue
+            acc = accs[j]
+            if acc is None:
+                acc = accs[j] = [0] * (2 * deg - 1)
+                x = xs[j]
+                if x.field is not field:
+                    raise _mismatch(field, x)
+                if any(x.num):
+                    acc[:deg] = x.num
+                    dens[j] = x.den
+            den, d = dens[j], aden * b.den
+            cnum = anum
+            if d != den:
+                if den:
+                    g = gcd(den, d)
+                    k, m = den // g, d // g
+                    if m != 1:
+                        acc = accs[j] = [c * m for c in acc]
+                        dens[j] = den * m
+                    if k != 1:
+                        cnum = [c * k for c in anum]
+                else:
+                    dens[j] = d
+            if deg == 2:
+                a0, a1 = cnum
+                b0, b1 = bnum
+                acc[0] += a0 * b0
+                acc[1] += a0 * b1 + a1 * b0
+                acc[2] += a1 * b1
+            else:
+                for p, c in enumerate(cnum):
+                    if c:
+                        for q, e in enumerate(bnum, p):
+                            if e:
+                                acc[q] += c * e
+    out = []
+    for j, acc in enumerate(accs):
+        if acc is None:
+            out.append(xs[j])
+            continue
+        num = acc[:deg]
+        for row, c in zip(field._fold, acc[deg:]):
+            if c:
+                for p, t in row:
+                    num[p] += c * t
+        out.append(_canonical(field, num, dens[j]))
+    return out
 
 
 def _power_sum(field, num, step):
@@ -291,9 +383,7 @@ class CycloElem:
     def _other(self, x):
         if isinstance(x, CycloElem):
             if x.field is not self.field and x.field != self.field:
-                raise FieldMismatch(
-                    "mixing Q(zeta_%d) and Q(zeta_%d); coerce explicitly"
-                    % (self.field.n, x.field.n))
+                raise _mismatch(self.field, x)
             return x
         if isinstance(x, (int, Fraction)):
             return self.field.from_rational(x)

@@ -51,8 +51,8 @@ from math import lcm
 from .cyclo import CycloField
 from .errors import (FieldInvariantError, FormNotInvariant, NonzeroH0,
                      NotHermitian, NotParabolic, NotRootOfUnity, TupleMismatch)
-from .linalg import (Matrix, dot, kernel_left, vec_add, vec_conj, vec_mat,
-                     vec_sub)
+from .linalg import (Matrix, _sub_mul, dot, kernel_left, vec_add, vec_conj,
+                     vec_mat, vec_sub)
 from .tuples import (_check_matrix, _entry_solver, common_fixed_space,
                      dual_tuple, w_space)
 
@@ -292,21 +292,26 @@ def signature(gram):
             q += 1
         inv = piv.inverse()
         active.remove(j)
-        # (a, S[j][a], conj(S[j][a]) / S[j][j]) for the nonzero S[j][a]
-        terms = []
+        # the active a with S[j][a] != 0, S[j][a] and conj(S[j][a]) / S[j][j]
+        cols, xs, ws = [], [], []
         for a in active:
             if a > j:
                 x = S[j][a]
                 if x:
-                    terms.append((a, x, x.conjugate() * inv))
+                    cols.append(a)
+                    xs.append(x)
+                    ws.append(x.conjugate() * inv)
             else:
                 y = S[a][j]
                 if y:
-                    terms.append((a, y.conjugate(), y * inv))
-        for k, (a, _, w) in enumerate(terms):
+                    cols.append(a)
+                    xs.append(y.conjugate())
+                    ws.append(y * inv)
+        for k, a in enumerate(cols):
             row = S[a]
-            for b, x, _ in terms[k:]:
-                row[b] = row[b] - w * x
+            updated = _sub_mul([row[b] for b in cols[k:]], ws[k], xs[k:])
+            for b, x in zip(cols[k:], updated):
+                row[b] = x
     return SignatureResult(p, q, len(active))
 
 

@@ -8,6 +8,13 @@ loops: _rref_rows (Gauss-Jordan, optionally tracking the transform) and
 _reduce (a vector against echelon rows).  Both skip every term whose
 multiplier entry is zero, which x - c*0 = x makes exact.
 
+Every row product (_row_times: v*M, behind Matrix.__mul__, vec_mat and
+RowSolver.solve) and every row update x - c*y (_sub_mul: _rref_rows,
+_reduce, the chart read and the signature's Schur step) is one call of
+the integer kernel cyclo._product_sums.  It costs O(deg^2) int products
+per nonzero term and one fold and one gcd per output entry, and builds
+no element for a product or a partial sum.
+
 For an N x m matrix a, the equations of x*a = b are its m columns.
 kernel_left eliminates them once, with pivots taken from the right, and
 reads the RREF basis of {x : x*a = 0} off the result.  RowSolver
@@ -25,6 +32,7 @@ O(dim sub * dim quotient) field operations, with no elimination or
 reduction in the N ambient columns.
 """
 
+from .cyclo import _product_sums
 from .errors import NotASubspace, NotInvertible, ShapeMismatch
 
 
@@ -54,20 +62,16 @@ def dot(u, v):
 def _row_times(v, entries, ncols, zero):
     """The row v times the row-major matrix entries, zero terms skipped.
 
-    A zero entry of v skips a whole row of the matrix and a zero matrix
-    entry skips its term, so sparse and block-diagonal factors cost only
-    their nonzero products.
+    The kernel skips a zero entry of v (a whole row of the matrix) and
+    each zero matrix entry, so sparse and block-diagonal factors cost
+    only their nonzero products.
     """
-    acc = [None] * ncols
-    for i, a in enumerate(v):
-        if a:
-            base = i * ncols
-            for j in range(ncols):
-                y = entries[base + j]
-                if y:
-                    term = a * y
-                    acc[j] = term if acc[j] is None else acc[j] + term
-    return [zero if x is None else x for x in acc]
+    return _product_sums(zero.field, (zero,) * ncols, v, entries, ncols)
+
+
+def _sub_mul(xs, c, ys):
+    """The row xs - c*ys; an entry whose y is zero stays x itself."""
+    return _product_sums(c.field, xs, (-c,), ys, len(ys))
 
 
 def vec_mat(v, m):
@@ -264,11 +268,9 @@ def _rref_rows(rows, track=None):
         for i in range(nrows):
             c = rows[i][col]
             if i != piv and c:
-                rows[i] = [x - c * y if y else x
-                           for x, y in zip(rows[i], prow)]
+                rows[i] = _sub_mul(rows[i], c, prow)
                 if track is not None:
-                    track[i] = [x - c * y if y else x
-                                for x, y in zip(track[i], trow)]
+                    track[i] = _sub_mul(track[i], c, trow)
         pivots.append(col)
         piv += 1
         if piv == nrows:
@@ -288,10 +290,7 @@ def _reduce(basis, v):
         pj = next(j for j, x in enumerate(row) if x)
         c = v[pj]
         if c:
-            for j in range(pj, len(v)):
-                y = row[j]
-                if y:
-                    v[j] = v[j] - c * y
+            v[pj:] = _sub_mul(v[pj:], c, row[pj:])
     return tuple(v)
 
 
@@ -465,9 +464,7 @@ class QuotientChart:
         for p, eq in self._eqs:
             c = v[p]
             if c:
-                for j, y in enumerate(eq):
-                    if y:
-                        out[j] = out[j] - c * y
+                out = _sub_mul(out, c, eq)
         return tuple(out)
 
 

@@ -83,17 +83,30 @@ def validate_tuple(mats):
     d = mats[0].rows
     for k, m in enumerate(mats):
         if m.rows != m.cols or m.rows != d or m.field != field:
+            _raise_first_singular(mats[:k])
             raise TupleError(
                 "matrix %d is not %dx%d over the common field" % (k + 1, d, d))
-        if not m.is_invertible():
-            raise NotInvertible("matrix %d is singular" % (k + 1))
     prod = Matrix.identity(field, d)
     for m in mats:
         prod = prod * m
     if prod != Matrix.identity(field, d):
+        _raise_first_singular(mats)
         raise ProductNotOne("product g_1*...*g_%d is not the identity"
                             % len(mats))
     return MatTuple(field, d, mats)
+
+
+def _raise_first_singular(mats):
+    """NotInvertible for the first singular matrix of mats, if any.
+
+    validate_tuple eliminates the entries only once a check has failed:
+    a product equal to 1 makes every determinant nonzero.  Scanning the
+    entries before the failed check keeps its report the first entry
+    that is singular or of the wrong shape, in order.
+    """
+    for k, m in enumerate(mats):
+        if not m.is_invertible():
+            raise NotInvertible("matrix %d is singular" % (k + 1))
 
 
 def _entry_solver(m):

@@ -19,7 +19,9 @@ of reading it off one elimination of the columns.  The sign oracle
 evaluates interval cosines with mpmath on every call instead of summing
 cached integer bounds, and the Galois oracle sums the dense reduced
 powers of zeta over every coefficient pair instead of reading a field's
-sparse table.  The ambient route to W applies (r d) x (r d)
+sparse table.  The row-kernel oracles form every product and every sum
+with the element operators instead of accumulating integer convolutions
+over a common denominator.  The ambient route to W applies (r d) x (r d)
 chain maps (psi, compose, induced_on_W) to the H and E basis vectors
 instead of moving and twisting the basis rows letter by letter.
 """
@@ -341,7 +343,28 @@ def h_space_oracle(g):
 
 
 # ---------------------------------------------------------------------------
-# elimination and sign, as computed before the one-pass kernels
+# row products, elimination and sign, as computed before the integer
+# and one-pass kernels
+
+
+def row_times_oracle(v, entries, ncols, zero):
+    """The row v times the row-major matrix entries, one element product
+    and one element sum per nonzero term."""
+    acc = [None] * ncols
+    for i, a in enumerate(v):
+        if a:
+            base = i * ncols
+            for j in range(ncols):
+                y = entries[base + j]
+                if y:
+                    term = a * y
+                    acc[j] = term if acc[j] is None else acc[j] + term
+    return [zero if x is None else x for x in acc]
+
+
+def sub_mul_oracle(xs, c, ys):
+    """The row xs - c*ys with the element operators, x kept where y is 0."""
+    return [x - c * y if y else x for x, y in zip(xs, ys)]
 
 
 def solve_row_oracle(a, b):

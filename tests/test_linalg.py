@@ -1,6 +1,8 @@
 """Exact row-vector linear algebra: solving, kernels, subspaces, quotients."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from helpers import (check_cases, rand_element, rand_h_elem, rand_invertible,
                      vec_scale)
-from oracles import kernel_left_oracle, solve_row_oracle
+from oracles import (kernel_left_oracle, row_times_oracle, solve_row_oracle,
+                     sub_mul_oracle)
 from parcoh.cyclo import CycloField
-from parcoh.errors import NotASubspace, NotInvertible, ShapeMismatch
-from parcoh.linalg import (Matrix, RowSolver, Subspace, dot, kernel_left,
-                           quotient_chart, vec_add, vec_mat)
+from parcoh.errors import (FieldMismatch, NotASubspace, NotInvertible,
+                           ShapeMismatch)
+from parcoh.linalg import (Matrix, RowSolver, Subspace, _row_times, _sub_mul,
+                           dot, kernel_left, quotient_chart, vec_add, vec_mat)
 from parcoh.tuples import w_space
 
 
@@ -269,6 +273,94 @@ def test_product_entries_are_row_column_dots(data):
     for i in range(n):
         assert prod.row(i) == tuple(dot(a.row(i), c) for c in cols)
         assert vec_mat(a.row(i), b) == prod.row(i)
+
+
+# ---------------------------------------------------------------------------
+# the integer product-sum kernel under _row_times and _sub_mul
+
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 12, 20, 28)
+# pairs of these are equal, coprime (2, 3; 4, 9) or share a factor (4, 6)
+KERNEL_DENS = (1, 2, 3, 4, 6, 9)
+KERNEL = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def _kernel_elements(draw, field):
+    """Zero, c/den * z^k, or a dense element over den, den from
+    KERNEL_DENS."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return field.zero()
+    den = draw(st.sampled_from(KERNEL_DENS))
+    if kind == 1:
+        c = draw(st.integers(-3, 3).filter(bool))
+        return field.from_rational(Fraction(c, den)) * \
+            field.zeta(draw(st.integers(0, field.n - 1)))
+    return field.element([Fraction(draw(st.integers(-3, 3)), den)
+                          for _ in range(field.degree)])
+
+
+def _assert_canonical(x, field):
+    assert x.field is field
+    assert type(x.num) is tuple and len(x.num) == field.degree
+    assert all(type(c) is int for c in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+@KERNEL
+@given(st.data())
+def test_row_kernels_match_the_element_oracles(data):
+    """_row_times and _sub_mul against element-by-element products and
+    sums, with zero entries, zero rows of the matrix, zero vectors and
+    denominators that are equal, coprime or share a factor."""
+    F = CycloField(data.draw(st.sampled_from(KERNEL_ORDERS)))
+    elements = _kernel_elements(F)
+    rows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    zero = F.zero()
+    entries = []
+    for _ in range(rows):
+        if data.draw(st.integers(0, 3)):
+            entries.extend(data.draw(elements) for _ in range(ncols))
+        else:
+            entries.extend([zero] * ncols)
+    vectors = [[data.draw(elements) for _ in range(rows)], [zero] * rows]
+    for v in vectors:
+        got = _row_times(v, entries, ncols, zero)
+        assert got == row_times_oracle(v, entries, ncols, zero)
+        for x in got:
+            _assert_canonical(x, F)
+    xs = [data.draw(elements) for _ in range(ncols)]
+    c = data.draw(elements)
+    for i in range(rows):
+        ys = entries[i * ncols:(i + 1) * ncols]
+        got = _sub_mul(xs, c, ys)
+        assert got == sub_mul_oracle(xs, c, ys)
+        for x in got:
+            _assert_canonical(x, F)
+
+
+def test_mixed_fields_raise_field_mismatch():
+    """Q(zeta_3) and Q(zeta_4) both have degree 2, so without the kernel's
+    field check each case would compute on the other field's numerators
+    and return."""
+    F3, F4 = CycloField(3), CycloField(4)
+    a3 = Matrix.from_rows(F3, [[F3.zeta(), F3.one()], [F3.one(), F3.zeta(2)]])
+    a4 = Matrix.from_rows(F4, [[F4.zeta(), F4.one()], [F4.one(), F4.zeta(3)]])
+    v4 = a4.row(0)
+    mixed = Matrix(F3, 2, 2, [F3.zeta(), F4.zeta(), F3.one(), F4.one()])
+    cases = [
+        lambda: vec_mat(v4, a3),
+        lambda: a3 * a4,
+        lambda: RowSolver(a3).solve(v4),
+        lambda: Subspace.from_rows(F3, 2, [a3.row(0)]).contains(v4),
+        lambda: kernel_left(mixed),
+    ]
+    for case in cases:
+        with pytest.raises(FieldMismatch):
+            case()
 
 
 @PROPERTY

@@ -11,7 +11,9 @@ from helpers import (check_cases, rand_h_elem, rand_tuple, sl2_tuple,
 from parcoh.braid import BraidWord, act_on_tuple
 from oracles import h_space_oracle, solve_row_oracle
 from parcoh.cyclo import CycloField
-from parcoh.errors import ProductNotOne, TooFewPoints, TupleError
+from parcoh import linalg
+from parcoh.errors import (NotInvertible, ProductNotOne, TooFewPoints,
+                           TupleError)
 from parcoh.linalg import Matrix, Subspace, vec_add, vec_mat
 from parcoh.tuples import (MatTuple, _shared_suffix_products,
                            common_fixed_space, dual_tuple, e_space, h_check,
@@ -48,6 +50,30 @@ def test_validate_rejects_singular_entry():
     bad = Matrix.zero(F, 1, 1)
     with pytest.raises(TupleError):
         validate_tuple([bad, _scalar(F, F.one()), _scalar(F, F.one())])
+
+
+def test_validate_eliminates_entries_only_after_a_failed_check(monkeypatch):
+    """A product equal to 1 makes every entry invertible, so a valid tuple
+    is built without an elimination; a failed check still names the first
+    singular entry."""
+    cases = [list(g.mats) for g in check_cases()]
+    calls = []
+    rref = linalg._rref_rows
+    monkeypatch.setattr(linalg, "_rref_rows",
+                        lambda *args: calls.append(1) or rref(*args))
+    F = CycloField(3)
+    validate_tuple([_scalar(F, F.zeta())] * 3)
+    for mats in cases:
+        validate_tuple(mats)
+    assert calls == []
+    one, bad = _scalar(F, F.one()), Matrix.zero(F, 1, 1)
+    with pytest.raises(NotInvertible, match="^matrix 2 is singular$"):
+        validate_tuple([one, bad, one])
+    with pytest.raises(NotInvertible, match="^matrix 1 is singular$"):
+        validate_tuple([bad, Matrix.identity(F, 2), one])
+    with pytest.raises(ProductNotOne):
+        validate_tuple([one, _scalar(F, F.zeta()), one])
+    assert calls
 
 
 def test_cocycle_space_dimensions_for_scalar_tuples():
