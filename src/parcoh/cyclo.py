@@ -7,24 +7,22 @@ FLINT/Antic's nf_elem (W. Hart, "ANTIC: Algebraic Number Theory in C",
 over 1, so equality and the zero test are tuple comparisons.  n = 1
 gives plain Q.
 
-A product is the integer convolution of the numerators; the coefficient
-of each z^k with deg <= k <= 2*deg - 2 is folded back with an integer
-table of z^k mod Phi_n built once per field.  Phi_n is monic with integer
-coefficients, so the fold divides nothing, and a product costs O(phi(n)^2)
-int operations and one gcd.  The inverse runs the extended Euclidean
-algorithm against Phi_n on integer polynomials (pseudo-division, with the
-common content of each remainder and its cofactor divided out): O(phi(n)^2)
-int operations on integers whose size grows at most linearly with phi(n).
+Every product goes through one kernel, _product_sums, which forms a row
+x + a*M on the integers alone: linalg's row products, eliminations and
+row scalings, and a*b as a single term.  Each output entry accumulates
+the integer convolutions of its nonzero terms over one common
+denominator, and its coefficients of z^k, deg <= k <= 2*deg - 2, are
+folded back once with an integer table of z^k mod Phi_n built once per
+field; Phi_n is monic, so the fold divides nothing.  A term costs
+O(phi(n)^2) int products, an output entry one fold and one gcd.  No
+other code convolves numerators or reads the fold table.  An element
+from coefficients or from a literal (whose coefficients are first added
+up by exponent mod n) is one power sum over one common denominator.
 
-Row products and eliminations (linalg) go through one kernel,
-_product_sums, which forms a row x + a*M for a row x, a vector a and a
-matrix M on the integers alone.  Each output entry accumulates the
-unfolded convolutions of its nonzero terms over one common denominator
-and is folded and made canonical once: O(phi(n)^2) int products per
-nonzero term, and one fold and one gcd per output entry, where the
-element operators pay a fold, a gcd and a new element for every product
-and again for every sum.  Its operands must all be elements of one
-field, checked by identity (CycloField is unique per n).
+The inverse runs the extended Euclidean algorithm against Phi_n on
+integer polynomials (pseudo-division, with the common content of each
+remainder and its cofactor divided out): O(phi(n)^2) int operations on
+integers whose size grows at most linearly with phi(n).
 
 Complex conjugation (zeta_n -> zeta_n^-1) and the embedding into
 Q(zeta_N), n | N (zeta_n -> zeta_N^(N/n)), are Galois maps zeta_n ->
@@ -199,15 +197,23 @@ def _product_sums(field, xs, avals, entries, ncols):
     return out
 
 
-def _power_sum(field, num, step):
-    """Int coordinates in field of sum_k num[k] * zeta^(step*k)."""
+def _power_sum(field, terms):
+    """Int coordinates in field of sum c * zeta^k over int pairs (k, c)."""
     out = [0] * field.degree
-    for k, c in enumerate(num):
+    for k, c in terms:
         if c:
-            for i, p in enumerate(field._power(step * k)):
+            for i, p in enumerate(field._power(k)):
                 if p:
                     out[i] += c * p
     return out
+
+
+def _rational_sum(field, terms):
+    """The element sum c * zeta^k over pairs (k, c), c rational."""
+    terms = [(k, Fraction(c)) for k, c in terms]
+    den = lcm(*(c.denominator for _, c in terms))
+    return _canonical(field, _power_sum(field, [
+        (k, c.numerator * (den // c.denominator)) for k, c in terms]), den)
 
 
 def _cosine_bounds(n, count, prec):
@@ -344,10 +350,7 @@ class CycloField:
 
     def element(self, coeffs):
         """sum_k coeffs[k] z^k, for a list of rationals of any length."""
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
-        return _canonical(self, _power_sum(self, num, 1), den)
+        return _rational_sum(self, enumerate(coeffs))
 
     def zero(self):
         return CycloElem(self, self._zeros, 1)
@@ -426,20 +429,7 @@ class CycloElem:
         if x is None:
             return NotImplemented
         f = self.field
-        deg = f.degree
-        prod = [0] * (2 * deg - 1)
-        b = x.num
-        for i, a in enumerate(self.num):
-            if a:
-                for j, c in enumerate(b, i):
-                    if c:
-                        prod[j] += a * c
-        out = prod[:deg]
-        for row, c in zip(f._fold, prod[deg:]):
-            if c:
-                for i, t in row:
-                    out[i] += c * t
-        return _canonical(f, out, self.den * x.den)
+        return _product_sums(f, (f.zero(),), (self,), (x,), 1)[0]
 
     __rmul__ = __mul__
 
@@ -636,13 +626,17 @@ def parse_element(text, field):
         raise LiteralSyntaxError("trailing operator in %r" % text)
     terms.append((sign, last))
 
-    out = field.zero()
+    # each term's coefficient added up by its exponent mod n
+    sums = {}
     for sign, term in terms:
-        out = out + _parse_term(term, field, text) * sign
-    return out
+        coeff, k = _parse_term(term, text)
+        k %= field.n
+        sums[k] = sums.get(k, 0) + sign * coeff
+    return _rational_sum(field, sums.items())
 
 
-def _parse_term(term, field, whole):
+def _parse_term(term, whole):
+    """(coefficient, exponent) of one unsigned term, exponent 0 without z."""
     factors = [f.strip() for f in term.split("*")]
     if not all(factors):
         raise LiteralSyntaxError("empty factor in %r" % whole)
@@ -668,7 +662,4 @@ def _parse_term(term, field, whole):
                 coeff *= Fraction(f)
             except (ValueError, ZeroDivisionError):
                 raise LiteralSyntaxError("bad rational %r in %r" % (f, whole))
-    val = field.from_rational(coeff)
-    if zexp is not None:
-        val = val * field.zeta(zexp % field.n)
-    return val
+    return coeff, zexp or 0

@@ -51,8 +51,8 @@ from math import lcm
 from .cyclo import CycloField
 from .errors import (FieldInvariantError, FormNotInvariant, NonzeroH0,
                      NotHermitian, NotParabolic, NotRootOfUnity, TupleMismatch)
-from .linalg import (Matrix, _sub_mul, dot, kernel_left, vec_add, vec_conj,
-                     vec_mat, vec_sub)
+from .linalg import (Matrix, _scale, _sub_mul, dot, kernel_left, vec_add,
+                     vec_conj, vec_mat, vec_sub)
 from .tuples import (_check_matrix, _entry_solver, common_fixed_space,
                      dual_tuple, w_space)
 
@@ -253,8 +253,9 @@ def signature(gram):
     2*|S[a][b]|^2, positive in any conjugation-closed field; if there is
     no such pair the active indices are the nullity.  Each pivot costs
     one sign, one inverse and about m^2/2 products for m active indices,
-    where the same congruence on the full matrix costs 1.5*m^2.  Every
-    sign decision goes through CycloElem.sign.
+    where the same congruence on the full matrix costs 1.5*m^2; the
+    weights conj(S[j][a]) * S[j][j]^-1 are one row scaling (_scale).
+    Every sign decision goes through CycloElem.sign.
     """
     if isinstance(gram, GramResult):
         if gram.kind != "hermitian":
@@ -293,20 +294,21 @@ def signature(gram):
         inv = piv.inverse()
         active.remove(j)
         # the active a with S[j][a] != 0, S[j][a] and conj(S[j][a]) / S[j][j]
-        cols, xs, ws = [], [], []
+        cols, xs, ys = [], [], []
         for a in active:
             if a > j:
                 x = S[j][a]
                 if x:
                     cols.append(a)
                     xs.append(x)
-                    ws.append(x.conjugate() * inv)
+                    ys.append(x.conjugate())
             else:
                 y = S[a][j]
                 if y:
                     cols.append(a)
                     xs.append(y.conjugate())
-                    ws.append(y * inv)
+                    ys.append(y)
+        ws = _scale(inv, ys)
         for k, a in enumerate(cols):
             row = S[a]
             updated = _sub_mul([row[b] for b in cols[k:]], ws[k], xs[k:])
@@ -335,15 +337,17 @@ def predicted_signature(g, eigen_exponents=None):
     """The signature formula from the tuple's root-of-unity eigenvalues.
 
     eigen_exponents: per matrix, a list of d integers k meaning the
-    eigenvalue zeta_n^k with multiplicity as listed.  For d = 1 the
-    exponents are read off the entries.  The claimed spectrum is
-    verified exactly via kernel dimensions.  Requires H^0 = 0.
+    eigenvalue zeta_n^k with multiplicity as listed; that spectrum is
+    verified exactly via kernel dimensions.  For d = 1 the exponents can
+    instead be read off the entries.  Requires H^0 = 0.
     """
     n = g.field.n
     d = g.dim
     if common_fixed_space(g).dim != 0:
         raise NonzeroH0("tuple has nonzero common fixed space")
     if eigen_exponents is None:
+        # each entry is looked up as zeta^k itself, so m - zeta^k is the
+        # 1 x 1 zero matrix and a multiplicity check could not fail here
         if d != 1:
             raise NotRootOfUnity(
                 "eigenvalue exponents must be supplied when d > 1")
@@ -355,22 +359,23 @@ def predicted_signature(g, eigen_exponents=None):
                 raise NotRootOfUnity("entry %s is not a power of zeta_%d"
                                      % (x, n))
             eigen_exponents.append([exponent[x]])
-    if len(eigen_exponents) != g.r:
+    elif len(eigen_exponents) != g.r:
         raise NotRootOfUnity("expected eigenvalues for %d matrices, got %d"
                              % (g.r, len(eigen_exponents)))
-    for mi, (m, exps) in enumerate(zip(g.mats, eigen_exponents)):
-        if len(exps) != d:
-            raise NotRootOfUnity("matrix %d: expected %d eigenvalues"
-                                 % (mi + 1, d))
-        mult = {}
-        for k in exps:
-            mult[k % n] = mult.get(k % n, 0) + 1
-        for k, cnt in mult.items():
-            eig = Matrix.scalar(g.field, d, g.field.zeta(k))
-            if kernel_left(m - eig).dim != cnt:
-                raise NotRootOfUnity(
-                    "matrix %d: zeta_%d^%d is not an eigenvalue of "
-                    "multiplicity %d" % (mi + 1, n, k, cnt))
+    else:
+        for mi, (m, exps) in enumerate(zip(g.mats, eigen_exponents)):
+            if len(exps) != d:
+                raise NotRootOfUnity("matrix %d: expected %d eigenvalues"
+                                     % (mi + 1, d))
+            mult = {}
+            for k in exps:
+                mult[k % n] = mult.get(k % n, 0) + 1
+            for k, cnt in mult.items():
+                eig = Matrix.scalar(g.field, d, g.field.zeta(k))
+                if kernel_left(m - eig).dim != cnt:
+                    raise NotRootOfUnity(
+                        "matrix %d: zeta_%d^%d is not an eigenvalue of "
+                        "multiplicity %d" % (mi + 1, n, k, cnt))
     mu_sum = Fraction(0)
     mubar_sum = Fraction(0)
     for exps in eigen_exponents:

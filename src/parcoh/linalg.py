@@ -9,11 +9,13 @@ _reduce (a vector against echelon rows).  Both skip every term whose
 multiplier entry is zero, which x - c*0 = x makes exact.
 
 Every row product (_row_times: v*M, behind Matrix.__mul__, vec_mat and
-RowSolver.solve) and every row update x - c*y (_sub_mul: _rref_rows,
-_reduce, the chart read and the signature's Schur step) is one call of
-the integer kernel cyclo._product_sums.  It costs O(deg^2) int products
-per nonzero term and one fold and one gcd per output entry, and builds
-no element for a product or a partial sum.
+RowSolver.solve), every row update x - c*y (_sub_mul: _rref_rows,
+_reduce, the chart read and the signature's Schur step) and every row
+scaling c*x (_scale: _rref_rows' pivot and track rows and the
+signature's pivot weights) is one call of the integer kernel
+cyclo._product_sums.  It costs O(deg^2) int products per nonzero term
+and one fold and one gcd per output entry, and builds no element for a
+product or a partial sum.
 
 For an N x m matrix a, the equations of x*a = b are its m columns.
 kernel_left eliminates them once, with pivots taken from the right, and
@@ -72,6 +74,12 @@ def _row_times(v, entries, ncols, zero):
 def _sub_mul(xs, c, ys):
     """The row xs - c*ys; an entry whose y is zero stays x itself."""
     return _product_sums(c.field, xs, (-c,), ys, len(ys))
+
+
+def _scale(c, xs):
+    """The row c*xs; a zero entry of xs stays zero."""
+    return _product_sums(c.field, (c.field.zero(),) * len(xs), (c,), xs,
+                         len(xs))
 
 
 def vec_mat(v, m):
@@ -262,9 +270,9 @@ def _rref_rows(rows, track=None):
         if track is not None:
             track[piv], track[hit] = track[hit], track[piv]
         inv = rows[piv][col].inverse()
-        prow = rows[piv] = [x * inv if x else x for x in rows[piv]]
+        prow = rows[piv] = _scale(inv, rows[piv])
         if track is not None:
-            trow = track[piv] = [x * inv if x else x for x in track[piv]]
+            trow = track[piv] = _scale(inv, track[piv])
         for i in range(nrows):
             c = rows[i][col]
             if i != piv and c:

@@ -19,7 +19,10 @@ of reading it off one elimination of the columns.  The sign oracle
 evaluates interval cosines with mpmath on every call instead of summing
 cached integer bounds, and the Galois oracle sums the dense reduced
 powers of zeta over every coefficient pair instead of reading a field's
-sparse table.  The row-kernel oracles form every product and every sum
+sparse table.  The product oracle convolves and folds two numerators on
+their own instead of through the row kernel, and the literal oracle
+builds an element per term with the element operators instead of
+adding up coefficients by exponent and reducing once.  The row-kernel oracles form every product and every sum
 with the element operators instead of accumulating integer convolutions
 over a common denominator.  The ambient route to W applies (r d) x (r d)
 chain maps (psi, compose, induced_on_W) to the H and E basis vectors
@@ -32,9 +35,9 @@ import mpmath
 
 from helpers import block_diag
 from parcoh.braid import ChainMap, _on_W
-from parcoh.cyclo import CycloElem, _power_sum
-from parcoh.errors import (FieldInvariantError, NotHermitian, NotReal,
-                           TupleMismatch)
+from parcoh.cyclo import CycloElem, _canonical, _power_sum
+from parcoh.errors import (FieldInvariantError, LiteralSyntaxError,
+                           NotHermitian, NotReal, TupleMismatch)
 from parcoh.linalg import (Matrix, Subspace, _rref_rows, dot, kernel_left,
                            vec_add, vec_mat, vec_sub)
 
@@ -296,7 +299,92 @@ def fraction_inverse(a):
 def galois_oracle(x, target, step):
     """The image of x in target under zeta_n -> zeta_N^step, summing
     num[k] times every coordinate of zeta_N^(step*k)."""
-    return CycloElem(target, tuple(_power_sum(target, x.num, step)), x.den)
+    return CycloElem(target, tuple(_power_sum(
+        target, [(step * k, c) for k, c in enumerate(x.num)])), x.den)
+
+
+def mul_oracle(a, b):
+    """a*b for elements of one field: the integer convolution of the
+    numerators, folded with the field's table of z^k mod Phi_n, over
+    den(a)*den(b), as the element product computed it before the row
+    kernel."""
+    f = a.field
+    deg = f.degree
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a.num):
+        if x:
+            for j, y in enumerate(b.num, i):
+                if y:
+                    prod[j] += x * y
+    out = prod[:deg]
+    for row, c in zip(f._fold, prod[deg:]):
+        if c:
+            for i, t in row:
+                out[i] += c * t
+    return _canonical(f, out, a.den * b.den)
+
+
+def parse_oracle(text, field):
+    """The literal parsed term by term with element arithmetic: one
+    from_rational, one mul_oracle by a power of zeta and one element sum
+    per term."""
+    s = text.strip()
+    if not s:
+        raise LiteralSyntaxError("empty element literal")
+    if any(ch not in "0123456789z^/* \t+-" for ch in s):
+        raise LiteralSyntaxError("bad character in element literal %r" % text)
+    terms = []
+    sign, buf = 1, []
+    for ch in s:
+        if ch in "+-":
+            content = "".join(buf).strip()
+            if content:
+                terms.append((sign, content))
+                sign, buf = 1, []
+            sign *= -1 if ch == "-" else 1
+        else:
+            buf.append(ch)
+    last = "".join(buf).strip()
+    if not last:
+        raise LiteralSyntaxError("trailing operator in %r" % text)
+    terms.append((sign, last))
+    out = field.zero()
+    for sign, term in terms:
+        val = _parse_term_oracle(term, field, text)
+        out = out + val if sign > 0 else out - val
+    return out
+
+
+def _parse_term_oracle(term, field, whole):
+    factors = [f.strip() for f in term.split("*")]
+    if not all(factors):
+        raise LiteralSyntaxError("empty factor in %r" % whole)
+    coeff = Fraction(1)
+    zexp = None
+    for f in factors:
+        if f.startswith("z"):
+            if zexp is not None:
+                raise LiteralSyntaxError("repeated z factor in %r" % whole)
+            if f == "z":
+                zexp = 1
+            elif f.startswith("z^"):
+                try:
+                    zexp = int(f[2:])
+                except ValueError:
+                    raise LiteralSyntaxError("bad exponent in %r" % whole)
+                if zexp < 0:
+                    raise LiteralSyntaxError("negative exponent in %r" % whole)
+            else:
+                raise LiteralSyntaxError("bad factor %r in %r" % (f, whole))
+        else:
+            try:
+                coeff *= Fraction(f)
+            except (ValueError, ZeroDivisionError):
+                raise LiteralSyntaxError("bad rational %r in %r" % (f, whole))
+    val = field.from_rational(coeff)
+    if zexp is not None:
+        val = mul_oracle(val, field.zeta(zexp % field.n))
+    return val
 
 
 def format_element_oracle(x):

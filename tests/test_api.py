@@ -53,3 +53,14 @@ def test_every_public_definition_is_exported_or_used():
             if not elsewhere and node.name not in _references(tree, node):
                 unused.append("%s: %s" % (module, node.name))
     assert unused == []
+
+
+def test_the_library_has_no_assert():
+    """python -O strips assert statements, so no invariant of src/parcoh
+    may rest on one."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -243,6 +243,40 @@ def test_verify_forms_only_the_suffix_products_a_letter_changes(
     assert counts == {"suffix_products": 6, "products": 65}
 
 
+def test_gram_rejects_a_wrong_eigenvalue_exits_2(tmp_path, capsys):
+    with open(PICARD, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["eigenvalues"] = [[2], [1], [1], [1], [2]]
+    path = tmp_path / "wrong_eigenvalue.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["gram", "--hermitian", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "zeta_3^2 is not an eigenvalue of multiplicity 1" in err
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRANSCRIPT = os.path.join(ROOT, "tests", "data", "cli_transcript.txt")
+
+
+def test_outputs_match_the_recorded_transcript(monkeypatch, capsys):
+    """The stdout and exit codes of the command set whose outputs CI
+    compares across hash seeds, run in process, are the recorded
+    transcript byte for byte."""
+    monkeypatch.chdir(ROOT)
+    parts = []
+    for path in (PICARD, CONJUGATE):
+        for args in ("verify --json", "monodromy --json",
+                     "monodromy --basis explicit", "gram --hermitian --json",
+                     "w-basis --json"):
+            code, out, _ = _run(args.split() + [path], capsys)
+            parts.append("%sexit %d\n" % (out, code))
+    code, out, _ = _run(["picard", "--json"], capsys)
+    assert code == 0
+    parts.append(out)
+    with open(TRANSCRIPT, encoding="utf-8") as fh:
+        assert "".join(parts) == fh.read()
+
+
 def test_picard_command(capsys):
     code, out, err = _run(["picard"], capsys)
     assert code == 0

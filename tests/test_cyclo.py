@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import rand_element, rand_nonzero
 from oracles import (format_element_oracle, fraction_inverse, fraction_mul,
-                     galois_oracle, sign_oracle)
+                     galois_oracle, mul_oracle, parse_oracle, sign_oracle)
 from parcoh.cyclo import CycloField, format_element, parse_element
 from parcoh.errors import (FieldMismatch, LiteralSyntaxError, NoEmbedding,
                            NotReal)
@@ -119,11 +119,25 @@ def test_parse_format_roundtrip():
         + F.from_rational(Fraction(2, 3)) * F.zeta(1)
 
 
+REJECTED_LITERALS = ("", "z +", "2**z", "w", "1/0", "z^")
+
+
 def test_parse_rejects_garbage():
     F = CycloField(3)
-    for bad in ("", "z +", "2**z", "w", "1/0", "z^"):
+    for bad in REJECTED_LITERALS:
         with pytest.raises(LiteralSyntaxError):
             parse_element(bad, F)
+
+
+def test_rejected_literals_keep_the_oracles_messages():
+    F = CycloField(3)
+    for bad in REJECTED_LITERALS + ("  ", "-", "z*z", "2*z^-1", "zz", "z^x",
+                                    "1/2/3", "3 z", "z^1.5", "1 + * z"):
+        with pytest.raises(LiteralSyntaxError) as want:
+            parse_oracle(bad, F)
+        with pytest.raises(LiteralSyntaxError) as got:
+            parse_element(bad, F)
+        assert str(got.value) == str(want.value), bad
 
 
 def test_high_powers_reduce():
@@ -447,3 +461,78 @@ def test_sign_matches_the_interval_oracle(data):
     for x in (a + a.conjugate(), a * a.conjugate() - b * b.conjugate(),
               (a - b.conjugate()) * (b - a.conjugate())):
         assert x.sign() == sign_oracle(x)
+
+
+def _same_element(got, want):
+    assert got.field is want.field
+    assert type(got.num) is tuple
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+# the product property adds Q(zeta_2) = Q, whose fold table is empty
+MUL_ORDERS = [1, 2, 3, 4, 5, 7, 12, 20, 28]
+
+
+@st.composite
+def _operand(draw, F):
+    """An element of F with a forced denominator, zero for an empty or
+    all-zero coefficient list."""
+    coeffs = draw(st.lists(st.one_of(st.just(0), _COEFF),
+                           max_size=F.degree + 2))
+    den = draw(st.integers(1, 40))
+    return F.element([Fraction(c) / den for c in coeffs])
+
+
+@given(st.sampled_from(MUL_ORDERS), st.data())
+def test_product_matches_the_convolution_oracle(n, data):
+    F = CycloField(n)
+    a, b = data.draw(_operand(F)), data.draw(_operand(F))
+    q = data.draw(st.one_of(st.integers(-60, 60),
+                            st.fractions(max_denominator=30)))
+    zero, rq = F.zero(), F.from_rational(q)
+    for got, want in ((a * b, mul_oracle(a, b)), (b * a, mul_oracle(b, a)),
+                      (a * a, mul_oracle(a, a)),
+                      (a * zero, mul_oracle(a, zero)),
+                      (zero * b, mul_oracle(zero, b)),
+                      (a * q, mul_oracle(a, rq)), (q * a, mul_oracle(rq, a))):
+        _same_element(got, want)
+        _assert_canonical(got, F)
+
+
+@st.composite
+def _literal(draw, n):
+    """A literal whose terms may repeat an exponent, reach past n, or
+    cancel each other to 0."""
+    coeff = st.one_of(st.none(), st.fractions(min_value=0, max_value=40,
+                                              max_denominator=12))
+    exponent = st.one_of(st.none(), st.integers(0, 3 * n + 2))
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), coeff, exponent,
+                                    st.booleans()), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        terms += [("-" if s == "+" else "+", c, k, z_first)
+                  for s, c, k, z_first in terms]
+    parts = []
+    for s, c, k, z_first in terms:
+        factors = [] if c is None else [str(c)]
+        if k is not None:
+            zk = "z" if k == 1 else "z^%d" % k
+            factors.insert(0 if z_first else len(factors), zk)
+        parts.append("%s %s" % (s, "*".join(factors) or "1"))
+    return " ".join(parts)
+
+
+@given(st.sampled_from(PROPERTY_ORDERS), st.data())
+def test_parse_matches_the_element_arithmetic_oracle(n, data):
+    F = CycloField(n)
+    text = data.draw(_literal(n))
+    _same_element(parse_element(text, F), parse_oracle(text, F))
+
+
+def test_parse_matches_the_oracle_on_fixed_literals():
+    for n in MUL_ORDERS:
+        F = CycloField(n)
+        for text in ("0", "-0", "z - z", "z^%d - 1" % n, "z^32767",
+                     "3*z^2 + z^2*1/3 - 2/6*z^2 + z^%d" % (n + 2),
+                     "1/2 + 1/3 + 1/6 - 1"):
+            _same_element(parse_element(text, F), parse_oracle(text, F))
+        assert parse_element("z - z", F) == F.zero()

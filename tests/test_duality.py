@@ -21,7 +21,7 @@ from parcoh.cyclo import CycloField, parse_element
 from parcoh.duality import (SesquiData, _dual_check, _lift, cup_pairing,
                             gram_on_W, predicted_signature, signature)
 from parcoh.errors import (FormNotInvariant, NonzeroH0, NotHermitian,
-                           NotParabolic, TupleMismatch)
+                           NotParabolic, NotRootOfUnity, TupleMismatch)
 from parcoh.linalg import (Matrix, kernel_left, vec_add, vec_conj, vec_mat,
                            vec_sub)
 from parcoh.tuples import (MatTuple, _entry_solver, dual_tuple, e_space,
@@ -540,6 +540,14 @@ def test_predicted_signature_accepts_supplied_exponents():
     g = _toy_diagonal_tuple()
     pred = predicted_signature(g, eigen_exponents=[[1, 2], [1, 2], [1, 2]])
     assert pred[0] + pred[1] == 2 * (3 - 2)
+
+
+def test_predicted_signature_checks_supplied_multiplicities():
+    # zeta_3 is an eigenvalue of diag(z, z^2) with multiplicity 1, not 2
+    g = _toy_diagonal_tuple()
+    with pytest.raises(NotRootOfUnity,
+                       match="is not an eigenvalue of multiplicity 2"):
+        predicted_signature(g, eigen_exponents=[[1, 1], [1, 2], [1, 2]])
 
 
 def _toy_diagonal_tuple():
