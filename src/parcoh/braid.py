@@ -21,13 +21,16 @@ column k):
 
 A walk forms the letters' products on the entries' row-major tuples
 (four d x d products per letter) and makes matrices only of the two
-factors it hands to _move_rows.  phi_on_H moves the r*d identity rows.
-The monodromy moves only the dim H + dim E basis rows of W = H/E and
-multiplies each d-block of a row by chi for Psi(g, chi), skipping
-Psi(g, 1), which is the identity.  A generator with a word of L
-letters then costs O(L*(dim H + dim E)*d^2 + L*d^3) field operations
-plus one chart read, where building and applying the dense Phi cost
-O(L*(r*d)*d^2) + O((r*d)^3).
+factors it hands to _move_rows.  For d = 1 the entries commute, so
+b^-1 a b = a and a b a^-1 = b: a letter of either sign swaps the pair
+and the pair of inverses, and its factors are (b, 1 - a) for b_i, with
+no product, and (b a^-1 - a^-1, a^-1) for b_i^-1, with one.  phi_on_H
+moves the r*d identity rows.  The monodromy moves only the dim H + dim E
+basis rows of W = H/E and multiplies each d-block of a row by chi for
+Psi(g, chi), skipping Psi(g, 1), which is the identity.  A generator
+with a word of L letters then costs O(L*(dim H + dim E)*d^2 + L*d^3)
+field operations plus one chart read, where building and applying the
+dense Phi cost O(L*(r*d)*d^2) + O((r*d)^3).
 """
 
 import re
@@ -128,7 +131,9 @@ def _walk(g, beta, invs=None):
     per letter, (i, top, bottom, positive): the factors with which
     _move_rows rewrites block columns i and i+1 (i is 0-based).  The
     products are formed on the row-major entries, O(d^3) field
-    operations each, and only the factors become matrices.
+    operations each, and only the factors become matrices.  A letter
+    costs four products, 4*d kernel calls, except at d = 1, where it
+    swaps the pair and makes no kernel call for b_i and one for b_i^-1.
     """
     _check_strands(g, beta)
     if invs is None:
@@ -148,7 +153,16 @@ def _walk(g, beta, invs=None):
     for idx, exp in beta.letters:
         i = idx - 1
         a, b, ainv, binv = mats[i], mats[i + 1], invs[i], invs[i + 1]
-        if exp == 1:
+        if d == 1:
+            # scalars commute, so b^-1 a b = a and a b a^-1 = b: a letter
+            # of either sign swaps the pair and the pair of inverses
+            mats[i], mats[i + 1] = b, a
+            invs[i], invs[i + 1] = binv, ainv
+            if exp == 1:
+                top, bottom = b, [one[0] - a[0]]
+            else:
+                top, bottom = [times(b, ainv)[0] - ainv[0]], ainv
+        elif exp == 1:
             moved = times(times(binv, a), b)
             mats[i], mats[i + 1] = b, moved
             invs[i], invs[i + 1] = binv, times(times(binv, ainv), b)

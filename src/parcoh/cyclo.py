@@ -120,6 +120,19 @@ def _mismatch(field, x):
                          % (field.n, x.field.n))
 
 
+def _as_element(field, x):
+    """x as an element of field: an int or Fraction is embedded, any other
+    type but an element gives None, and an element of another field
+    raises FieldMismatch."""
+    if isinstance(x, CycloElem):
+        if x.field is not field and x.field != field:
+            raise _mismatch(field, x)
+        return x
+    if isinstance(x, (int, Fraction)):
+        return field.from_rational(x)
+    return None
+
+
 def _product_sums(field, xs, avals, entries, ncols):
     """The row xs + avals*M in field, for M the row-major matrix entries
     with ncols columns.
@@ -383,17 +396,8 @@ class CycloElem:
         """The power-basis coordinates as Fractions (a read-only view)."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def _other(self, x):
-        if isinstance(x, CycloElem):
-            if x.field is not self.field and x.field != self.field:
-                raise _mismatch(self.field, x)
-            return x
-        if isinstance(x, (int, Fraction)):
-            return self.field.from_rational(x)
-        return None
-
     def _add_or_sub(self, x, op):
-        x = self._other(x)
+        x = _as_element(self.field, x)
         if x is None:
             return NotImplemented
         d1, d2 = self.den, x.den
@@ -416,7 +420,7 @@ class CycloElem:
         return self._add_or_sub(x, sub)
 
     def __rsub__(self, x):
-        x = self._other(x)
+        x = _as_element(self.field, x)
         if x is None:
             return NotImplemented
         return x - self
@@ -425,7 +429,7 @@ class CycloElem:
         return CycloElem(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, x):
-        x = self._other(x)
+        x = _as_element(self.field, x)
         if x is None:
             return NotImplemented
         f = self.field
@@ -434,13 +438,13 @@ class CycloElem:
     __rmul__ = __mul__
 
     def __truediv__(self, x):
-        x = self._other(x)
+        x = _as_element(self.field, x)
         if x is None:
             return NotImplemented
         return self * x.inverse()
 
     def __rtruediv__(self, x):
-        x = self._other(x)
+        x = _as_element(self.field, x)
         if x is None:
             return NotImplemented
         return x * self.inverse()

@@ -324,11 +324,15 @@ def _transvect(S, active, a, b):
     changes, and its diagonal entry becomes c*conj(c) + conj(c)*c."""
     c = S[a][b]
     row = S[a]
+    cols, ys = [], []
     for m in active:
         if a < m != b:
             y = S[b][m] if m > b else S[m][b].conjugate()
             if y:
-                row[m] = row[m] + c * y
+                cols.append(m)
+                ys.append(y)
+    for m, x in zip(cols, _sub_mul([row[m] for m in cols], -c, ys)):
+        row[m] = x
     t = c * c.conjugate()
     row[a] = t + t
 

@@ -10,9 +10,10 @@ multiplier entry is zero, which x - c*0 = x makes exact.
 
 Every row product (_row_times: v*M, behind Matrix.__mul__, vec_mat and
 RowSolver.solve), every row update x - c*y (_sub_mul: _rref_rows,
-_reduce, the chart read and the signature's Schur step) and every row
-scaling c*x (_scale: _rref_rows' pivot and track rows and the
-signature's pivot weights) is one call of the integer kernel
+_reduce, the chart read and the signature's Schur step and
+transvection), every row scaling c*x (_scale: _rref_rows' pivot and
+track rows, the signature's pivot weights and a matrix times a scalar)
+and every dot product is one call of the integer kernel
 cyclo._product_sums.  It costs O(deg^2) int products per nonzero term
 and one fold and one gcd per output entry, and builds no element for a
 product or a partial sum.
@@ -34,7 +35,7 @@ O(dim sub * dim quotient) field operations, with no elimination or
 reduction in the N ambient columns.
 """
 
-from .cyclo import _product_sums
+from .cyclo import _as_element, _mismatch, _product_sums
 from .errors import NotASubspace, NotInvertible, ShapeMismatch
 
 
@@ -51,14 +52,18 @@ def vec_sub(u, v):
 
 
 def dot(u, v):
-    """Standard coordinate pairing, no conjugation."""
+    """Standard coordinate pairing, no conjugation, as one kernel call."""
     if len(u) != len(v):
         raise ShapeMismatch("dot of vectors of lengths %d and %d"
                             % (len(u), len(v)))
-    total = None
-    for a, b in zip(u, v):
-        total = a * b if total is None else total + a * b
-    return total
+    if not u:
+        raise ShapeMismatch("dot of two empty vectors has no field")
+    field = u[0].field
+    # the kernel reads v_k only where u_k != 0, so check v's field here
+    other = next((b for b in v if b.field is not field), None)
+    if other is not None:
+        raise _mismatch(field, other)
+    return _product_sums(field, (field.zero(),), u, v, 1)[0]
 
 
 def _row_times(v, entries, ncols, zero):
@@ -186,13 +191,17 @@ class Matrix:
                 out.extend(_row_times(self.entries[i * k:(i + 1) * k],
                                       other.entries, other.cols, zero))
             return Matrix(self.field, self.rows, other.cols, out)
-        # scalar
-        return Matrix(self.field, self.rows, self.cols,
-                      [a * other for a in self.entries])
+        return self._scaled(other)
 
-    def __rmul__(self, other):
+    def _scaled(self, c):
+        """c*self for an int, Fraction or element c of the same field."""
+        c = _as_element(self.field, c)
+        if c is None:
+            return NotImplemented
         return Matrix(self.field, self.rows, self.cols,
-                      [other * a for a in self.entries])
+                      _scale(c, self.entries))
+
+    __rmul__ = _scaled
 
     def transpose(self):
         return Matrix(self.field, self.cols, self.rows,

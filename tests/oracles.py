@@ -26,7 +26,9 @@ adding up coefficients by exponent and reducing once.  The row-kernel oracles fo
 with the element operators instead of accumulating integer convolutions
 over a common denominator.  The ambient route to W applies (r d) x (r d)
 chain maps (psi, compose, induced_on_W) to the H and E basis vectors
-instead of moving and twisting the basis rows letter by letter.
+instead of moving and twisting the basis rows letter by letter.  The
+walk oracle forms the four d x d products of every letter with Matrix
+products, also on 1 x 1 entries, instead of swapping a rank-one pair.
 """
 
 from fractions import Fraction
@@ -40,6 +42,7 @@ from parcoh.errors import (FieldInvariantError, LiteralSyntaxError,
                            NotHermitian, NotReal, TupleMismatch)
 from parcoh.linalg import (Matrix, Subspace, _rref_rows, dot, kernel_left,
                            vec_add, vec_mat, vec_sub)
+from parcoh.tuples import MatTuple
 
 
 def cup_chain_oracle(gstar, g, phi, psi):
@@ -205,6 +208,36 @@ def phi_dense_oracle(g, beta):
             step = _phi_letter_matrix(mats, d, i).inverse()
         total = total * step
     return total, mats
+
+
+def walk_oracle(g, beta):
+    """(g^beta, steps) by the general letter formulas at every d.
+
+    b_i moves (a, b) to (b, b^-1 a b) and the inverses to
+    (b^-1, b^-1 a^-1 b), with factors top = b, bottom = 1 - b^-1 a b;
+    b_i^-1 moves them to (a b a^-1, a) and (a b^-1 a^-1, a^-1), with
+    top = b a^-1 - a^-1, bottom = a^-1.  Steps are (i, top, bottom,
+    positive), i 0-based, as braid._walk returns them.
+    """
+    d = g.dim
+    ident = Matrix.identity(g.field, d)
+    mats = list(g.mats)
+    invs = [m.inverse() for m in mats]
+    steps = []
+    for idx, exp in beta.letters:
+        i = idx - 1
+        a, b, ainv, binv = mats[i], mats[i + 1], invs[i], invs[i + 1]
+        if exp == 1:
+            moved = binv * a * b
+            mats[i], mats[i + 1] = b, moved
+            invs[i], invs[i + 1] = binv, binv * ainv * b
+            steps.append((i, b, ident - moved, True))
+        else:
+            b_ainv = b * ainv
+            mats[i], mats[i + 1] = a * b_ainv, a
+            invs[i], invs[i + 1] = a * binv * ainv, ainv
+            steps.append((i, b_ainv - ainv, ainv, False))
+    return MatTuple(g.field, d, mats), steps
 
 
 def psi(g, h):

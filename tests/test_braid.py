@@ -6,12 +6,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import rand_braid, rand_invertible, rand_tuple
-from oracles import compose, induced_on_W, phi_dense_oracle, psi
-from parcoh import picard
+from oracles import (compose, induced_on_W, phi_dense_oracle, psi,
+                     walk_oracle)
+from parcoh import linalg, picard
 from parcoh.braid import (MAX_LETTERS, BraidWord, _on_W, _preserved,
-                          _twist_rows, act_on_tuple, parse_braid, phi_on_H)
+                          _twist_rows, _walk, act_on_tuple, parse_braid,
+                          phi_on_H)
 from parcoh.cyclo import CycloField
 from parcoh.errors import (BraidSyntaxError, DoesNotPreserveE, IndexOutOfRange,
                            NotInvertible, StrandMismatch)
@@ -191,6 +195,66 @@ def test_phi_on_H_matches_the_dense_oracle():
                 assert got.codomain_tuple.mats == tuple(mats)
                 assert got.codomain_tuple == act_on_tuple(g, beta)
                 assert got.domain_tuple is g
+
+
+def _entries(m):
+    return [(x.num, x.den) for x in m.entries]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_walk_matches_the_general_letter_formulas(data):
+    """The rank-one swap and the d > 1 loop give the moved tuple and the
+    letter factors of the four-product formulas, entry for entry."""
+    d = data.draw(st.sampled_from([1, 2, 3]), label="d")
+    F = CycloField(data.draw(st.sampled_from([1, 3, 4, 5, 12]), label="n"))
+    r = data.draw(st.integers(3, 5), label="r")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    g = rand_tuple(F, r, d, rng)
+    s = r - 1
+    index = st.integers(1, s - 1)
+    letters = data.draw(st.lists(st.tuples(index, st.sampled_from([1, -1])),
+                                 max_size=6), label="letters")
+    # a repeated inverse letter and a letter next to its inverse
+    i, j = data.draw(index, label="i"), data.draw(index, label="j")
+    e = data.draw(st.sampled_from([1, -1]), label="e")
+    at = data.draw(st.integers(0, len(letters)), label="at")
+    letters[at:at] = [(i, -1), (i, -1), (j, e), (j, -e)]
+    beta = BraidWord(s, letters)
+    moved, steps = _walk(g, beta)
+    want_moved, want_steps = walk_oracle(g, beta)
+    assert [_entries(m) for m in moved.mats] == \
+        [_entries(m) for m in want_moved.mats]
+    assert len(steps) == len(want_steps) == len(letters)
+    for (k, top, bottom, pos), (wk, wtop, wbottom, wpos) in zip(steps,
+                                                               want_steps):
+        assert (k, pos) == (wk, wpos)
+        assert _entries(top) == _entries(wtop)
+        assert _entries(bottom) == _entries(wbottom)
+
+
+def test_walk_kernel_calls_per_letter(monkeypatch):
+    """A rank-one letter makes no kernel call for b_i and one for b_i^-1;
+    at d = 2 a letter of either sign makes 4*d, the four products."""
+    calls = []
+    real = linalg._product_sums
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    cases = [(picard.picard_tuple(), {1: 0, -1: 1}),
+             (rand_tuple(CycloField(3), 4, 2, random.Random(413)),
+              {1: 8, -1: 8})]
+    for g, want in cases:
+        invs = [m.inverse() for m in g.mats]
+        for i in range(1, g.r - 1):
+            for e in (1, -1):
+                monkeypatch.setattr(linalg, "_product_sums", counted)
+                _walk(g, BraidWord(g.r - 1, [(i, e)]), invs)
+                monkeypatch.undo()
+                assert len(calls) == want[e], (g.dim, i, e)
+                calls.clear()
 
 
 def test_psi_is_blockwise_multiplication():

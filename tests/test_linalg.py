@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (check_cases, rand_element, rand_h_elem, rand_invertible,
                      vec_scale)
-from oracles import (kernel_left_oracle, row_times_oracle, solve_row_oracle,
-                     sub_mul_oracle)
+from oracles import (kernel_left_oracle, mul_oracle, row_times_oracle,
+                     solve_row_oracle, sub_mul_oracle)
 from parcoh.cyclo import CycloField
 from parcoh.errors import (FieldMismatch, NotASubspace, NotInvertible,
                            ShapeMismatch)
@@ -342,6 +342,39 @@ def test_row_kernels_match_the_element_oracles(data):
             _assert_canonical(x, F)
 
 
+@KERNEL
+@given(st.data())
+def test_dot_and_scalar_products_match_the_product_oracle(data):
+    """dot(u, v) is the sum of the products u_k*v_k, and c*M and M*c are
+    c times each entry, for an int, Fraction or element c, entry for
+    entry against mul_oracle."""
+    F = CycloField(data.draw(st.sampled_from(KERNEL_ORDERS)))
+    elements = _kernel_elements(F)
+    size = data.draw(st.integers(1, 5))
+    u = [data.draw(elements) for _ in range(size)]
+    v = [data.draw(elements) for _ in range(size)]
+    want = F.zero()
+    for a, b in zip(u, v):
+        want = want + mul_oracle(a, b)
+    got = dot(u, v)
+    _assert_canonical(got, F)
+    assert (got.num, got.den) == (want.num, want.den)
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    m = Matrix(F, rows, cols, [data.draw(elements)
+                               for _ in range(rows * cols)])
+    k = data.draw(st.integers(-4, 4))
+    den = data.draw(st.sampled_from(KERNEL_DENS))
+    scalars = [k, Fraction(k, den), data.draw(elements)]
+    for c in scalars:
+        e = F.from_rational(c) if isinstance(c, (int, Fraction)) else c
+        want = [mul_oracle(e, x) for x in m.entries]
+        for got in (m * c, c * m):
+            assert (got.field, got.rows, got.cols) == (F, rows, cols)
+            for x, w in zip(got.entries, want):
+                _assert_canonical(x, F)
+                assert (x.num, x.den) == (w.num, w.den)
+
+
 def test_mixed_fields_raise_field_mismatch():
     """Q(zeta_3) and Q(zeta_4) both have degree 2, so without the kernel's
     field check each case would compute on the other field's numerators
@@ -357,6 +390,12 @@ def test_mixed_fields_raise_field_mismatch():
         lambda: RowSolver(a3).solve(v4),
         lambda: Subspace.from_rows(F3, 2, [a3.row(0)]).contains(v4),
         lambda: kernel_left(mixed),
+        lambda: dot(a3.row(0), v4),
+        lambda: dot((F3.zero(), F3.zero()), v4),
+        lambda: a3 * F4.zeta(),
+        lambda: F4.zeta() * a3,
+        lambda: Matrix.zero(F3, 2, 2) * F4.zeta(),
+        lambda: F4.zero() * a3,
     ]
     for case in cases:
         with pytest.raises(FieldMismatch):
@@ -487,6 +526,7 @@ def test_shape_mismatches_raise():
     b = Matrix.zero(F, 3, 2)
     cases = [
         lambda: dot((o, o), (o,)),
+        lambda: dot((), ()),
         lambda: vec_mat((o,), a),
         lambda: Matrix(F, 2, 2, [o] * 3),
         lambda: Matrix.from_rows(F, [[o, o], [o]]),

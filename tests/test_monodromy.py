@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_tuple
+from helpers import rand_tuple, unit_scalar_tuple
 from oracles import compose, induced_on_W, phi_dense_oracle, psi
 from parcoh import monodromy, picard
 from parcoh.braid import BraidWord, ChainMap, parse_braid, phi_on_H
 from parcoh.cyclo import CycloField
 from parcoh.errors import IncompatibleSpec, UnknownGenerator
-from parcoh.linalg import Matrix
+from parcoh.linalg import Matrix, kernel_left
 from parcoh.monodromy import (VariationSpec, check_compatibility, eta,
                               monodromy_generators)
 from parcoh.tuples import MatTuple
@@ -164,6 +164,40 @@ def test_full_twists_with_nonidentity_chi_match_the_dense_oracle(data):
         assert m == _dense_monodromy(g, beta, chi, rep.wspace)
 
 
+def _rank_one_tuples(F, r, rng):
+    """A tuple of roots of unity and one of other scalars, no entry 1."""
+    yield unit_scalar_tuple(F, r, rng)[0]
+    while True:
+        g = rand_tuple(F, r, 1, rng, span=2)
+        if all(m[0, 0] != 1 for m in g.mats):
+            yield g
+            return
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 12])
+def test_rank_one_pure_braids_act_as_reflections(n):
+    """On a rank-one tuple with no entry 1, A_ij acts on W as a
+    pseudo-reflection of determinant g_i*g_j (Deligne-Mostow, 1986):
+    rank(eta - 1) <= 1, so det eta = 1 + tr(eta - 1), and
+    tr(eta) - (dim W - 1) = g_i*g_j."""
+    F = CycloField(n)
+    rng = random.Random(1700 + n)
+    one = Matrix.identity(F, 1)
+    for r in range(4, 8):
+        for g in _rank_one_tuples(F, r, rng):
+            s = r - 1
+            gens = [((i, j), _pure_braid(s, i, j), one)
+                    for i in range(1, s) for j in range(i + 1, s + 1)]
+            rep = monodromy_generators(VariationSpec(g, gens))
+            w = rep.wspace.dim
+            assert w == r - 2
+            ident = Matrix.identity(F, w)
+            for (i, j), m in rep.images:
+                assert w - kernel_left(m - ident).dim <= 1, (n, r, i, j)
+                assert m.trace() - (w - 1) == \
+                    g.mats[i - 1][0, 0] * g.mats[j - 1][0, 0], (n, r, i, j)
+
+
 def test_monodromy_inverts_each_tuple_entry_once(monkeypatch):
     """No letter inverts a matrix: the r entries of g are inverted once."""
     spec = picard.variation()
@@ -232,8 +266,6 @@ def test_scalar_twist_scales_the_representation():
 def test_monodromy_of_random_tuple_with_stabilizing_word():
     """Pure braid words preserve scalar tuples, so generator squares give reps."""
     rng = random.Random(501)
-    from helpers import unit_scalar_tuple
-    from parcoh.braid import BraidWord
     for _ in range(10):
         F = CycloField(rng.choice([3, 4, 5]))
         g, _ = unit_scalar_tuple(F, rng.randint(4, 6), rng)
